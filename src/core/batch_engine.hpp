@@ -53,7 +53,8 @@
 //
 // The engine owns the run partition: a (table, bucket) pair appears in at
 // most one run per epoch, which is the exclusivity contract the bulk slab
-// operations rely on to share one EMPTY scan per slab.
+// operations rely on to share one EMPTY scan per slab and to reuse the
+// tombstones they pass (src/slabhash/slab_layout.hpp).
 //
 // The engine is still PHASE-concurrent: a mutation batch must never
 // overlap a query batch. On the synchronous API that contract is the

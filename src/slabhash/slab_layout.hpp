@@ -10,9 +10,19 @@
 //                     word 31 is the next-slab handle. Bc = 30.
 //
 // kEmptyKey marks a never-used slot; kTombstoneKey marks a deleted slot.
-// Insertions skip tombstones ("tombstones are disregarded in edge
-// insertion"), so within a slab all EMPTY slots sit after all used slots —
-// the invariant the paper relies on for fast searches.
+// Tombstone rule:
+//   * the scalar inserts (map_replace, set_insert) skip tombstones, as the
+//     paper does ("tombstones are disregarded in edge insertion"): their
+//     callers do not own the bucket, so two concurrent inserts of one key
+//     could otherwise each take a different tombstone;
+//   * the bulk inserts (map_bulk_replace, set_bulk_insert) run with the
+//     batch engine's bucket ownership and reuse tombstones: once a walk
+//     proves a key absent it takes the chain's earliest tombstone, then an
+//     EMPTY slot, and only then appends a slab.
+// Neither path ever turns a used slot back into EMPTY, so within a slab all
+// EMPTY slots sit after all used slots and only the chain's last slab has
+// any — the invariant the paper relies on for fast searches. Only
+// flush_tombstones / clear (phase-serial) rewrite a chain.
 #pragma once
 
 #include <cstdint>

@@ -11,9 +11,11 @@
 // Hot paths (replace / erase / search / for_each) execute the paper's
 // warp-parallel slab operation as one vectorized compare per slab
 // (simt::probe_slab -> ballot-style masks -> ffs), not a per-word loop of
-// atomic loads. CAS is kept only for the slot being claimed or tombstoned;
-// every read before that is a plain vector load, which the
-// phase-concurrent model permits (a stale word is re-checked by the CAS).
+// atomic loads. CAS is kept only for the EMPTY slot being claimed or the
+// key being tombstoned; every read before that is a plain vector load,
+// which the phase-concurrent model permits (a stale word is re-checked by
+// the CAS). A bulk run that owns its bucket rewrites a tombstone with a
+// plain atomic store: no other writer can race for it.
 
 namespace sg::slabhash {
 
@@ -56,32 +58,47 @@ struct PairClaim {
   std::uint32_t observed_key = kEmptyKey;
 };
 
-/// Claims the <key, value> pair at the (even, odd) word pair starting at
-/// `pair_words` with ONE 64-bit CAS, so no reader can ever observe a claimed
-/// key without its value — this closes the read-your-write window between
-/// the old key CAS and the follow-up value store. The expected state is
-/// (EMPTY, EMPTY): insertion only claims EMPTY slots, and a slot's value
-/// word is EMPTY whenever its key word is (allocation fills both,
-/// clear/flush reset both, and this CAS writes both).
+// The pair is 8-byte aligned (slabs are 128-byte aligned, key words are
+// even), so the two words form one naturally-aligned 64-bit lane that one
+// atomic op publishes together on either byte order — the key simply
+// occupies whichever half aliases pair_words[0]. (The uint64 view of the
+// uint32 array is formally type punning; the atomic op makes it safe in
+// practice on every supported toolchain.)
+constexpr bool kKeyInLowHalf = std::endian::native == std::endian::little;
+
+inline std::uint64_t pack_pair(std::uint32_t key,
+                               std::uint32_t value) noexcept {
+  return kKeyInLowHalf ? (std::uint64_t{value} << 32) | key
+                       : (std::uint64_t{key} << 32) | value;
+}
+
+/// Claims the EMPTY <key, value> pair at the (even, odd) word pair starting
+/// at `pair_words` with ONE 64-bit CAS, so no reader can ever observe a
+/// claimed key without its value — this closes the read-your-write window
+/// between a key CAS and a follow-up value store. The expected state is
+/// (EMPTY, EMPTY): a slot's value word is EMPTY whenever its key word is
+/// (allocation fills both, clear/flush reset both, and this CAS writes
+/// both).
 inline PairClaim claim_pair(std::uint32_t* pair_words, std::uint32_t key,
                             std::uint32_t value) noexcept {
-  // The pair is 8-byte aligned (slabs are 128-byte aligned, key words are
-  // even), so the two words form one naturally-aligned 64-bit lane and the
-  // CAS publishes them together on either byte order — the key simply
-  // occupies whichever half aliases pair_words[0]. (The uint64 view of the
-  // uint32 array is formally type punning; the atomic op makes it safe in
-  // practice on every supported toolchain.)
-  constexpr bool kKeyInLowHalf = std::endian::native == std::endian::little;
   auto* pair = reinterpret_cast<std::uint64_t*>(pair_words);
   constexpr std::uint64_t kExpected =
       (std::uint64_t{kEmptyKey} << 32) | kEmptyKey;  // all-ones either way
-  const std::uint64_t desired = kKeyInLowHalf
-                                    ? (std::uint64_t{value} << 32) | key
-                                    : (std::uint64_t{key} << 32) | value;
-  const std::uint64_t observed = atomic_cas(*pair, kExpected, desired);
+  const std::uint64_t observed =
+      atomic_cas(*pair, kExpected, pack_pair(key, value));
   if (observed == kExpected) return {true, kEmptyKey};
   return {false, static_cast<std::uint32_t>(
                      kKeyInLowHalf ? observed : observed >> 32)};
+}
+
+/// Rewrites the TOMBSTONED pair at `pair_words` with <key, value> in one
+/// 64-bit store, so key and value appear together exactly as with
+/// claim_pair. No CAS: only a caller that owns the bucket (a bulk run) may
+/// reuse a tombstone, so no other writer can race for the slot.
+inline void reuse_pair(std::uint32_t* pair_words, std::uint32_t key,
+                       std::uint32_t value) noexcept {
+  atomic_store(*reinterpret_cast<std::uint64_t*>(pair_words),
+               pack_pair(key, value));
 }
 
 }  // namespace
@@ -93,16 +110,19 @@ namespace {
 /// non-null, receives how deep into the chain the walk went (1 = base).
 /// On arena exhaustion: records the failure into `status` when given (the
 /// key is then NOT inserted and not counted), else throws ArenaExhausted.
+/// `owns_bucket` (bulk runs only) lets an absent key take the first
+/// tombstone of the chain instead of an EMPTY slot or a new slab.
 bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
                        std::uint32_t bucket, std::uint32_t key,
                        std::uint32_t value, std::uint32_t alloc_seed,
                        std::uint32_t* chain_slabs = nullptr,
-                       BulkStatus* status = nullptr) {
+                       BulkStatus* status = nullptr, bool owns_bucket = false) {
   SlabHandle handle = table.bucket_head(bucket);
   // The walked depth is kept in a register and published only at the exits:
   // a per-slab store through chain_slabs could alias slab words and force
   // the compiler to reload them mid-probe.
   std::uint32_t depth = 0;
+  std::uint32_t* tombstone = nullptr;  // first tombstoned pair passed
   for (;;) {
     ++depth;
     Slab& slab = arena.resolve(handle);
@@ -114,10 +134,24 @@ bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
       if (chain_slabs != nullptr) *chain_slabs = depth;
       return false;
     }
-    // Claim the first EMPTY key slot with a single 64-bit key+value CAS;
-    // on a lost race fall through to the next candidate (tombstones are
-    // never reused by insertion).
     std::uint32_t empties = probe.empty & kMapKeyWordsMask;
+    if (owns_bucket) {
+      const std::uint32_t tombs = probe.tombstone & kMapKeyWordsMask;
+      if (tombstone == nullptr && tombs != 0) {
+        tombstone = &slab.words[std::countr_zero(tombs)];
+      }
+      // An EMPTY slot or the chain's end proves the key absent; the
+      // earliest tombstone then beats both an EMPTY slot and a new slab.
+      if (tombstone != nullptr &&
+          (empties != 0 ||
+           atomic_load(slab.words[kNextPtrWord]) == kNullSlab)) {
+        reuse_pair(tombstone, key, value);
+        if (chain_slabs != nullptr) *chain_slabs = depth;
+        return true;
+      }
+    }
+    // Claim the first EMPTY key slot with a single 64-bit key+value CAS;
+    // on a lost race fall through to the next candidate.
     while (empties != 0) {
       const int key_word = std::countr_zero(empties);
       const PairClaim claim = claim_pair(&slab.words[key_word], key, value);
@@ -233,7 +267,8 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
                                BulkStatus* status) {
   if (count == 1) {  // singleton run: sparse batches are mostly these
     return replace_in_bucket(arena, table, bucket, keys[0], values[0],
-                             alloc_seed, chain_slabs, status)
+                             alloc_seed, chain_slabs, status,
+                             /*owns_bucket=*/true)
                ? 1u
                : 0u;
   }
@@ -244,6 +279,10 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
                                    ? count - base
                                    : static_cast<std::uint32_t>(simt::kWarpSize);
     std::uint32_t pending = simt::lanemask_below(static_cast<int>(wave));
+    // Tombstoned pairs the walk passed, in chain order: never more than the
+    // wave has keys still pending, so a warp's worth of room suffices.
+    std::uint32_t* tombstones[simt::kWarpSize];
+    std::uint32_t num_tombstones = 0;
     SlabHandle handle = table.bucket_head(bucket);
     std::uint32_t depth = 0;
     while (pending != 0) {
@@ -253,11 +292,12 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
       // while this slab's compares and claims resolve.
       SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
-      // The first lane's probe yields the slab's EMPTY mask for free (one
-      // pass computes all three masks); later lanes only need the match.
-      // The run owns this bucket for the phase, so that one EMPTY scan
-      // serves every claim below: claimed slots vanish from the local mask.
+      // The first lane's probe yields the slab's EMPTY and tombstone masks
+      // for free (one pass computes all three); later lanes only need the
+      // match. The run owns this bucket for the phase, so that one scan
+      // serves every claim below: claimed slots vanish from the local masks.
       std::uint32_t empties = 0;
+      std::uint32_t tombs = 0;
       bool probed = false;
       for (std::uint32_t m = pending; m != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);
@@ -267,6 +307,7 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
               slab.words, keys[base + lane], kEmptyKey, kTombstoneKey);
           match = probe.match & kMapKeyWordsMask;
           empties = probe.empty & kMapKeyWordsMask;
+          tombs = probe.tombstone & kMapKeyWordsMask;
           probed = true;
         } else {
           match = simt::match_mask(slab.words, keys[base + lane]) &
@@ -277,6 +318,25 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
                        values[base + lane]);
           pending &= ~(1u << lane);
         }
+      }
+      const auto wanted = static_cast<std::uint32_t>(simt::popc(pending));
+      for (; tombs != 0 && num_tombstones < wanted; tombs &= tombs - 1) {
+        tombstones[num_tombstones++] = &slab.words[std::countr_zero(tombs)];
+      }
+      // An EMPTY slot or the chain's end proves every pending key absent:
+      // pending keys take the remembered tombstones in chain order, then
+      // this slab's EMPTY slots, and only then a new slab.
+      if (num_tombstones != 0 && (empties != 0 || next == kNullSlab)) {
+        std::uint32_t used = 0;
+        for (std::uint32_t m = pending; m != 0 && used < num_tombstones;
+             m &= m - 1) {
+          const int lane = std::countr_zero(m);
+          reuse_pair(tombstones[used++], keys[base + lane],
+                     values[base + lane]);
+          ++added;
+          pending &= ~(1u << lane);
+        }
+        num_tombstones = 0;  // all used, or nothing is left pending
       }
       for (std::uint32_t m = pending; m != 0 && empties != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);

@@ -8,6 +8,8 @@
 //                returns false; if absent, claims the first EMPTY slot
 //                (never a tombstone) and returns true. The boolean return
 //                feeds the per-vertex edge counters (Alg. 1 lines 8-10).
+//                The bulk variant (map_bulk_replace) owns its bucket and
+//                so reuses tombstones: see slab_layout.hpp.
 //   * erase    — tombstones the key (CAS key -> TOMBSTONE); returns whether
 //                the key was present, feeding the counter decrement.
 //   * search   — walks the bucket chain; may stop at the first EMPTY slot
@@ -58,12 +60,17 @@ MapFindResult map_search(const memory::SlabArena& arena, TableRef table,
 // bucket — which is what lets these walk the chain ONCE per wave of up to
 // 32 keys, compute the slab's EMPTY mask once per slab, and claim
 // successive slots from it, instead of one full hash + chain walk per key.
-// Concurrent mutation of OTHER buckets (and of other tables) remains safe:
-// slot claiming still goes through CAS.
+// Ownership also lets an insert reuse tombstones: a wave remembers the
+// tombstoned slots it passes and, once the walk reaches an EMPTY slot or
+// the chain's end (so the pending keys are absent), rewrites them in chain
+// order with one 64-bit key+value store before claiming EMPTY slots or
+// appending a slab. Concurrent mutation of OTHER buckets (and of other
+// tables) remains safe: EMPTY-slot claiming still goes through CAS.
 
 /// Bulk replace of a run: inserts keys[i] -> values[i] (unique keys,
-/// sorted); a key already present has its value overwritten. Returns the
-/// number of NEW keys. When `chain_slabs` is non-null it receives the
+/// sorted); a key already present has its value overwritten, and a new key
+/// takes the chain's earliest free tombstone before any EMPTY slot. Returns
+/// the number of NEW keys. When `chain_slabs` is non-null it receives the
 /// deepest slab position the walk reached (1 = base slab only), including
 /// slabs appended by this call — the §III chain-length metric the batch
 /// engine feeds back to targeted rehashing, observed for free.

@@ -10,7 +10,8 @@
 
 // Hot paths mirror slab_map.cpp: one vectorized compare per slab
 // (simt::probe_slab) replaces the per-word atomic-load loop, with CAS kept
-// only for the slot being claimed or tombstoned.
+// only for the EMPTY slot being claimed or the key being tombstoned (a
+// bucket-owning bulk run rewrites a tombstone with a plain atomic store).
 
 namespace sg::slabhash {
 
@@ -19,6 +20,7 @@ using memory::Slab;
 using memory::SlabHandle;
 using simt::atomic_cas;
 using simt::atomic_load;
+using simt::atomic_store;
 
 namespace {
 
@@ -48,15 +50,18 @@ namespace {
 /// set_insert after hashing: shared by the scalar entry point and the bulk
 /// path's singleton runs (which arrive pre-hashed). On arena exhaustion:
 /// records into `status` when given (key NOT inserted), else throws.
+/// `owns_bucket` (bulk runs only) lets an absent key take the first
+/// tombstone of the chain instead of an EMPTY slot or a new slab.
 bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
                       std::uint32_t bucket, std::uint32_t key,
                       std::uint32_t alloc_seed,
                       std::uint32_t* chain_slabs = nullptr,
-                      BulkStatus* status = nullptr) {
+                      BulkStatus* status = nullptr, bool owns_bucket = false) {
   SlabHandle handle = table.bucket_head(bucket);
   // Depth stays in a register and publishes only at the exits: a per-slab
   // store through chain_slabs could alias slab words and force reloads.
   std::uint32_t depth = 0;
+  std::uint32_t* tombstone = nullptr;  // first tombstoned slot passed
   for (;;) {
     ++depth;
     Slab& slab = arena.resolve(handle);
@@ -67,6 +72,22 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
       return false;
     }
     std::uint32_t empties = probe.empty & kSetKeyWordsMask;
+    if (owns_bucket) {
+      const std::uint32_t tombs = probe.tombstone & kSetKeyWordsMask;
+      if (tombstone == nullptr && tombs != 0) {
+        tombstone = &slab.words[std::countr_zero(tombs)];
+      }
+      // An EMPTY slot or the chain's end proves the key absent; the
+      // earliest tombstone then beats both an EMPTY slot and a new slab.
+      // A plain store: the bucket's owner is its only writer.
+      if (tombstone != nullptr &&
+          (empties != 0 ||
+           atomic_load(slab.words[kNextPtrWord]) == kNullSlab)) {
+        atomic_store(*tombstone, key);
+        if (chain_slabs != nullptr) *chain_slabs = depth;
+        return true;
+      }
+    }
     while (empties != 0) {
       const int slot = std::countr_zero(empties);
       const std::uint32_t observed =
@@ -162,7 +183,7 @@ std::uint32_t set_bulk_insert(memory::SlabArena& arena, TableRef table,
                               std::uint32_t* chain_slabs, BulkStatus* status) {
   if (count == 1) {  // singleton run: sparse batches are mostly these
     return insert_in_bucket(arena, table, bucket, keys[0], alloc_seed,
-                            chain_slabs, status)
+                            chain_slabs, status, /*owns_bucket=*/true)
                ? 1u
                : 0u;
   }
@@ -173,6 +194,9 @@ std::uint32_t set_bulk_insert(memory::SlabArena& arena, TableRef table,
                                    ? count - base
                                    : static_cast<std::uint32_t>(simt::kWarpSize);
     std::uint32_t pending = simt::lanemask_below(static_cast<int>(wave));
+    // Tombstoned slots the walk passed, in chain order (as in the map).
+    std::uint32_t* tombstones[simt::kWarpSize];
+    std::uint32_t num_tombstones = 0;
     SlabHandle handle = table.bucket_head(bucket);
     std::uint32_t depth = 0;
     while (pending != 0) {
@@ -180,10 +204,11 @@ std::uint32_t set_bulk_insert(memory::SlabArena& arena, TableRef table,
       Slab& slab = arena.resolve(handle);
       SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
-      // First lane probes all three masks in one pass; the shared EMPTY
-      // scan serves every claim below (the run owns this bucket for the
-      // phase), claimed slots vanishing from the local mask only.
+      // First lane probes all three masks in one pass; the shared EMPTY and
+      // tombstone scan serves every claim below (the run owns this bucket
+      // for the phase), claimed slots vanishing from the local masks only.
       std::uint32_t empties = 0;
+      std::uint32_t tombs = 0;
       bool probed = false;
       for (std::uint32_t m = pending; m != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);
@@ -193,6 +218,7 @@ std::uint32_t set_bulk_insert(memory::SlabArena& arena, TableRef table,
               slab.words, keys[base + lane], kEmptyKey, kTombstoneKey);
           match = probe.match & kSetKeyWordsMask;
           empties = probe.empty & kSetKeyWordsMask;
+          tombs = probe.tombstone & kSetKeyWordsMask;
           probed = true;
         } else {
           match =
@@ -201,6 +227,23 @@ std::uint32_t set_bulk_insert(memory::SlabArena& arena, TableRef table,
         if (match != 0) {
           pending &= ~(1u << lane);  // already present: not new
         }
+      }
+      const auto wanted = static_cast<std::uint32_t>(simt::popc(pending));
+      for (; tombs != 0 && num_tombstones < wanted; tombs &= tombs - 1) {
+        tombstones[num_tombstones++] = &slab.words[std::countr_zero(tombs)];
+      }
+      // An EMPTY slot or the chain's end proves every pending key absent:
+      // tombstones first (chain order), then EMPTY slots, then a new slab.
+      if (num_tombstones != 0 && (empties != 0 || next == kNullSlab)) {
+        std::uint32_t used = 0;
+        for (std::uint32_t m = pending; m != 0 && used < num_tombstones;
+             m &= m - 1) {
+          const int lane = std::countr_zero(m);
+          atomic_store(*tombstones[used++], keys[base + lane]);
+          ++added;
+          pending &= ~(1u << lane);
+        }
+        num_tombstones = 0;  // all used, or nothing is left pending
       }
       for (std::uint32_t m = pending; m != 0 && empties != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);

@@ -1,7 +1,9 @@
 // SlabHash concurrent set: uint32 keys only, 30 per slab — the new set
 // variant the paper adds to slab hash ("keys only, and no values",
 // footnote 5). Used when edge values are not required, e.g. triangle
-// counting (§VI-C). Same uniqueness / tombstone semantics as the map.
+// counting (§VI-C). Same uniqueness / tombstone semantics as the map: the
+// scalar set_insert never reuses a tombstone, the bucket-owning
+// set_bulk_insert does (slab_layout.hpp).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,9 @@ bool set_contains(const memory::SlabArena& arena, TableRef table,
 // Same contract as the map's bulk operations (slab_map.hpp): the run's keys
 // are pre-hashed to `bucket`, and for mutation the engine guarantees no
 // other warp touches this bucket during the phase. The chain is walked once
-// per wave of up to 32 keys with one shared EMPTY scan per slab.
+// per wave of up to 32 keys with one shared EMPTY and tombstone scan per
+// slab; new keys reuse the passed tombstones in chain order (one key store
+// each) before claiming EMPTY slots or appending a slab.
 
 /// Bulk unique insert of a run (unique, sorted keys); returns the number of
 /// NEW keys. `chain_slabs`, when non-null, receives the deepest slab

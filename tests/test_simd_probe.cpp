@@ -103,8 +103,10 @@ MapTrace run_map_workload(simt::ProbeBackend backend, std::uint64_t seed) {
   ScopedBackend scope(backend);
   util::Xoshiro256 rng(seed);
   memory::SlabArena arena;
-  // Deliberately undersized (load factor ~3) so chains and tombstone reuse
-  // paths are exercised, not just single-slab buckets.
+  // Deliberately undersized (load factor ~3) so multi-slab chains and
+  // probes over tombstoned slots are exercised, not just single-slab
+  // buckets. (The scalar map_replace never reuses a tombstone; only the
+  // bulk path does.)
   slabhash::SlabHashMap table(
       arena, slabhash::buckets_for(1 << 12, 3.0, slabhash::kMapPairsPerSlab));
   std::unordered_map<std::uint32_t, std::uint32_t> reference;

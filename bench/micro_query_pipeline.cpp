@@ -1,7 +1,7 @@
-// micro_query_pipeline: phase-concurrent query pipelining, merge-free
-// staging, and the automatic rehash policy.
+// micro_query_pipeline: phase-concurrent query pipelining and the
+// automatic rehash policy.
 //
-// Three sections:
+// Two sections:
 //
 //   overlap   builds a graph once, then streams edges_exist / edge_weights
 //             batches through the engine at several pool widths, once with
@@ -13,11 +13,6 @@
 //             be > 0; at 1 thread the pipeline degenerates and the two
 //             configurations should tie.
 //
-//   merge     streams the same insert batches through merge-free staging
-//             and the legacy copying merge, reporting throughput and the
-//             driver-copied bytes each assembly performed (merge-free must
-//             report 0).
-//
 //   rehash    streams a hub-skewed insert/query mix with the p99 auto-
 //             rehash policy on vs off, reporting trigger count, final mean
 //             chain length, and the query rate on the maintained graph.
@@ -25,7 +20,6 @@
 // JSON metrics (tracked by bench/compare_bench.py):
 //   query_rate{threads=T}        MQuery/s through the pipelined engine
 //   query_overlap{threads=T}     overlap seconds / stage seconds
-//   merge_free_insert_rate       MEdge/s with zero-copy staging
 //   auto_rehash_triggers         policy firings on the skewed stream
 //
 //   ./build/micro_query_pipeline --json=BENCH_query.json
@@ -114,7 +108,6 @@ QueryRun stream_queries(const core::DynGraphMap& g,
     run.stats.stage_seconds += s.stage_seconds;
     run.stats.apply_seconds += s.apply_seconds;
     run.stats.overlap_seconds += s.overlap_seconds;
-    run.stats.merge_copy_bytes += s.merge_copy_bytes;
     total += batch.size();
   }
   run.mqueries_per_s =
@@ -188,50 +181,6 @@ void run_overlap(const bench::BenchContext& ctx,
       "degenerates and matches the single-buffer path");
 }
 
-void run_merge(const bench::BenchContext& ctx, int vertices_exp,
-               int batch_exp, int num_batches) {
-  const std::uint32_t num_vertices = 1u << vertices_exp;
-  const std::size_t batch_size = std::size_t{1} << batch_exp;
-  std::vector<std::vector<core::WeightedEdge>> batches;
-  for (int b = 0; b < num_batches; ++b) {
-    batches.push_back(
-        random_edges(ctx.seed + b, batch_size, num_vertices));
-  }
-  // Fixed shard count + epoch size: the copy volume being measured must
-  // not depend on the ambient pool width.
-  util::Table table({"Staging", "MEdge/s", "Driver copy (KiB)"});
-  double merge_free_rate = 0.0;
-  for (const bool merge_free : {false, true}) {
-    core::GraphConfig cfg;
-    cfg.vertex_capacity = num_vertices;
-    cfg.stage_shards = 4;
-    cfg.pipeline_epoch_edges = static_cast<std::uint32_t>(batch_size / 4);
-    cfg.merge_free = merge_free;
-    core::DynGraphMap g(cfg);
-    std::uint64_t copied = 0;
-    std::uint64_t total = 0;
-    util::Timer timer;
-    for (const auto& batch : batches) {
-      g.insert_edges(batch);
-      copied += g.last_batch_stats().merge_copy_bytes;
-      total += batch.size();
-    }
-    const double rate = util::mitems_per_second(double(total), timer.seconds());
-    if (merge_free) merge_free_rate = rate;
-    table.add_row({merge_free ? "merge-free (two-pass)" : "copying merge",
-                   util::Table::fmt(rate),
-                   util::Table::fmt(double(copied) / 1024.0)});
-  }
-  ctx.emit(table, "Merge-free staging vs copying merge: " +
-                      std::to_string(num_batches) + " batches of 2^" +
-                      std::to_string(batch_exp) + " edges, 4 shards");
-  ctx.record("merge_free_insert_rate", merge_free_rate, "MEdge/s",
-             {{"batch", "2^" + std::to_string(batch_exp)}});
-  bench::paper_shape_note(
-      "merge-free staging reports zero driver-copied bytes: shards emit "
-      "directly into presized global slices");
-}
-
 void run_auto_rehash(const bench::BenchContext& ctx, int tail_exp,
                      int hub_degree) {
   // Hub-skewed stream: hubs chain heavily while 2^tail_exp vertices stay
@@ -294,14 +243,12 @@ int main(int argc, char** argv) {
   const auto ctx =
       sg::bench::BenchContext::from_cli(cli, 1.0, "micro_query_pipeline");
   ctx.print_header(
-      "Query pipeline: stage/search overlap + merge-free staging + "
-      "auto-rehash");
+      "Query pipeline: stage/search overlap + auto-rehash");
   const int vertices_exp = cli.get_int("vertices_exp", ctx.quick ? 15 : 17);
   const int batch_exp = cli.get_int("batch_exp", ctx.quick ? 14 : 16);
   const int num_batches = cli.get_int("batches", ctx.quick ? 4 : 8);
   sg::run_overlap(ctx, sg::parse_thread_list(cli), vertices_exp, batch_exp,
                   num_batches);
-  sg::run_merge(ctx, vertices_exp, batch_exp, num_batches);
   sg::run_auto_rehash(ctx, ctx.quick ? 12 : 14, ctx.quick ? 400 : 1000);
   ctx.write_json();
   return 0;

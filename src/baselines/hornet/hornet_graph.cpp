@@ -88,53 +88,66 @@ std::uint64_t HornetGraph::insert_edges(std::span<const core::WeightedEdge> edge
   }
   // Step 2: per affected vertex, cross-dedup against the existing list
   // (sort a copy of the adjacency, binary search each candidate), then
-  // append survivors, growing the block if capacity is exceeded. Parallel
-  // over affected vertices; each vertex's group is contiguous after the sort.
+  // append survivors, growing the block if capacity is exceeded. Each
+  // vertex's group is contiguous after the sort. Growing a block may
+  // resize the block manager's pool storage, which moves every block of
+  // that size class, so the passes that hold block pointers (dedup,
+  // append) run in parallel and the growth between them runs serially.
   std::vector<std::size_t> group_starts;
   for (std::size_t i = 0; i < unique.size(); ++i) {
     if (i == 0 || unique[i].src != unique[i - 1].src) group_starts.push_back(i);
   }
   group_starts.push_back(unique.size());
-  std::atomic<std::uint64_t> added{0};
-  simt::ThreadPool::instance().parallel_for(
-      group_starts.size() - 1, [&](std::uint64_t g) {
-        const std::size_t begin = group_starts[g];
-        const std::size_t end = group_starts[g + 1];
-        const core::VertexId u = unique[begin].src;
-        // Cross-duplicate check: sorted snapshot of the current adjacency.
-        std::vector<core::VertexId> existing(neighbors(u).begin(),
-                                             neighbors(u).end());
-        std::sort(existing.begin(), existing.end());
-        std::vector<core::WeightedEdge> fresh;
-        fresh.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          if (std::binary_search(existing.begin(), existing.end(),
-                                 unique[i].dst)) {
-            // Edge already present: overwrite the weight in place.
-            core::VertexId* dst = blocks_.dst(handle_[u]);
-            core::Weight* weight = blocks_.weight(handle_[u]);
-            for (std::uint32_t k = 0; k < used_[u]; ++k) {
-              if (dst[k] == unique[i].dst) {
-                weight[k] = unique[i].weight;
-                break;
-              }
-            }
-          } else {
-            fresh.push_back(unique[i]);
-          }
-        }
-        if (fresh.empty()) return;
-        grow_to_fit(u, used_[u] + static_cast<std::uint32_t>(fresh.size()));
+  const std::size_t groups = group_starts.size() - 1;
+  std::vector<std::uint8_t> is_fresh(unique.size(), 0);
+  std::vector<std::uint32_t> fresh_count(groups, 0);
+  auto& pool = simt::ThreadPool::instance();
+  pool.parallel_for(groups, [&](std::uint64_t g) {
+    const std::size_t begin = group_starts[g];
+    const std::size_t end = group_starts[g + 1];
+    const core::VertexId u = unique[begin].src;
+    // Cross-duplicate check: sorted snapshot of the current adjacency.
+    std::vector<core::VertexId> existing(neighbors(u).begin(),
+                                         neighbors(u).end());
+    std::sort(existing.begin(), existing.end());
+    for (std::size_t i = begin; i < end; ++i) {
+      if (std::binary_search(existing.begin(), existing.end(),
+                             unique[i].dst)) {
+        // Edge already present: overwrite the weight in place.
         core::VertexId* dst = blocks_.dst(handle_[u]);
         core::Weight* weight = blocks_.weight(handle_[u]);
-        for (const auto& e : fresh) {
-          dst[used_[u]] = e.dst;
-          weight[used_[u]] = e.weight;
-          ++used_[u];
+        for (std::uint32_t k = 0; k < used_[u]; ++k) {
+          if (dst[k] == unique[i].dst) {
+            weight[k] = unique[i].weight;
+            break;
+          }
         }
-        added.fetch_add(fresh.size(), std::memory_order_relaxed);
-      });
-  return added.load(std::memory_order_relaxed);
+      } else {
+        is_fresh[i] = 1;
+        ++fresh_count[g];
+      }
+    }
+  });
+  std::uint64_t added = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (fresh_count[g] == 0) continue;
+    const core::VertexId u = unique[group_starts[g]].src;
+    grow_to_fit(u, used_[u] + fresh_count[g]);
+    added += fresh_count[g];
+  }
+  pool.parallel_for(groups, [&](std::uint64_t g) {
+    if (fresh_count[g] == 0) return;
+    const core::VertexId u = unique[group_starts[g]].src;
+    core::VertexId* dst = blocks_.dst(handle_[u]);
+    core::Weight* weight = blocks_.weight(handle_[u]);
+    for (std::size_t i = group_starts[g]; i < group_starts[g + 1]; ++i) {
+      if (!is_fresh[i]) continue;
+      dst[used_[u]] = unique[i].dst;
+      weight[used_[u]] = unique[i].weight;
+      ++used_[u];
+    }
+  });
+  return added;
 }
 
 std::uint64_t HornetGraph::delete_edges(std::span<const core::Edge> edges) {

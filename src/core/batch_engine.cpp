@@ -92,52 +92,6 @@ void BatchStaging::emit_self(bool gather_values, bool gather_seqs) {
   run_offsets[grouped_runs_] = grouped_keys_;
 }
 
-void BatchStaging::group(bool dedup, bool gather_values, bool gather_seqs) {
-  // Fused single-pass grouping for stagings that need no cross-shard
-  // assembly (the lone-shard pipeline path): sort, then cut + emit in one
-  // scan. Sharded stagings use group_prepare + group_emit instead, so the
-  // counting pass is only ever paid where the counts buy a zero-copy
-  // global placement.
-  dedup_ = dedup;
-  sort::radix_sort_hi(std::span<sort::U128>(order_), scratch_, hi_or_, hi_and_);
-  const std::size_t n = order_.size();
-  keys.reserve(n);
-  if (gather_seqs) seqs.reserve(n);
-  if (gather_values) values.reserve(n);
-  for (std::size_t begin = 0; begin < n;) {
-    const std::uint64_t hi = order_[begin].hi;
-    std::size_t end = begin + 1;
-    while (end < n && order_[end].hi == hi) ++end;
-    if (end - begin > 1) {
-      std::sort(order_.begin() + static_cast<std::ptrdiff_t>(begin),
-                order_.begin() + static_cast<std::ptrdiff_t>(end),
-                [](const sort::U128& a, const sort::U128& b) {
-                  return a.lo < b.lo;  // (key, sequence) ascending
-                });
-    }
-    runs.push_back(
-        {static_cast<VertexId>(hi >> kBucketBits),
-         static_cast<std::uint32_t>(hi & ((1u << kBucketBits) - 1u))});
-    run_offsets.push_back(keys.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t key = static_cast<std::uint32_t>(order_[i].lo >> 32);
-      if (dedup && i + 1 < end &&
-          static_cast<std::uint32_t>(order_[i + 1].lo >> 32) == key) {
-        ++duplicates;  // a later occurrence follows: it wins
-        continue;
-      }
-      const std::uint32_t seq = static_cast<std::uint32_t>(order_[i].lo);
-      keys.push_back(key);
-      if (gather_seqs) seqs.push_back(seq);
-      if (gather_values) values.push_back(weights_[seq]);
-    }
-    begin = end;
-  }
-  run_offsets.push_back(keys.size());
-  grouped_runs_ = runs.size();
-  grouped_keys_ = keys.size();
-}
-
 void BatchStaging::check_partition(std::uint32_t shard,
                                    std::uint32_t num_shards) const {
   for (const sort::U128& rec : order_) {
@@ -183,21 +137,26 @@ void ShardedStaging::validate_partition() const {
   }
 }
 
-std::uint64_t ShardedStaging::finalize(bool merge_free, bool gather_values,
-                                       bool gather_seqs) {
+void ShardedStaging::finalize(bool gather_values, bool gather_seqs) {
 #ifndef NDEBUG
   validate_partition();
 #endif
-  copied_bytes = 0;
   const std::uint32_t num_shards = shard_count();
-  if (num_shards <= 1) {
-    // front() aliases the lone shard, which grouped through the fused
-    // single-pass group(): nothing to assemble, nothing was copied.
-    return 0;
+  if (num_shards == 1) {
+    shards_[0].emit_self(gather_values, gather_seqs);  // front() aliases it
+    return;
   }
+  // Prefix-sum the per-shard counts into disjoint slices and let every
+  // shard emit its own output directly into its slice, in parallel. Slices
+  // are element-disjoint, so the concurrent writes need no
+  // synchronization; the pool's job fence publishes them to the reader.
+  std::vector<std::uint64_t> key_base(num_shards);
+  std::vector<std::uint64_t> run_base(num_shards);
   std::uint64_t total_keys = 0;
   std::uint64_t total_runs = 0;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
+    key_base[s] = total_keys;
+    run_base[s] = total_runs;
     total_keys += shards_[s].grouped_keys();
     total_runs += shards_[s].grouped_runs();
   }
@@ -207,73 +166,16 @@ std::uint64_t ShardedStaging::finalize(bool merge_free, bool gather_values,
   if (gather_seqs) merged_.seqs.resize(total_keys);
   merged_.runs.resize(total_runs);
   merged_.run_offsets.resize(total_runs + 1);
-
-  std::uint64_t driver_copied = 0;
-  if (merge_free) {
-    // Pass 2 of the two-pass (count, then place) scheme: prefix-sum the
-    // per-shard counts into disjoint slices and let every shard emit its
-    // own output directly into its slice — in parallel, with no driver
-    // copy. Slices are element-disjoint, so the concurrent writes need no
-    // synchronization; the pool's job fence publishes them to the reader.
-    std::vector<std::uint64_t> key_base(num_shards);
-    std::vector<std::uint64_t> run_base(num_shards);
-    std::uint64_t key_cursor = 0;
-    std::uint64_t run_cursor = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      key_base[s] = key_cursor;
-      run_base[s] = run_cursor;
-      key_cursor += shards_[s].grouped_keys();
-      run_cursor += shards_[s].grouped_runs();
-    }
-    simt::ThreadPool::instance().parallel_for(
-        num_shards, [&](std::uint64_t s) {
-          shards_[s].group_emit(gather_values, gather_seqs, merged_,
-                                key_base[s], run_base[s]);
-        });
-  } else {
-    // Legacy (PR 3) copying merge, kept as the differential reference:
-    // shards self-emit in parallel, then one thread concatenates.
-    simt::ThreadPool::instance().parallel_for(
-        num_shards, [&](std::uint64_t s) {
-          shards_[s].emit_self(gather_values, gather_seqs);
-        });
-    std::uint64_t key_cursor = 0;
-    std::uint64_t run_cursor = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const BatchStaging& st = shards_[s];
-      std::copy(st.keys.begin(), st.keys.end(),
-                merged_.keys.begin() + static_cast<std::ptrdiff_t>(key_cursor));
-      driver_copied += st.keys.size() * sizeof(std::uint32_t);
-      if (gather_values) {
-        std::copy(
-            st.values.begin(), st.values.end(),
-            merged_.values.begin() + static_cast<std::ptrdiff_t>(key_cursor));
-        driver_copied += st.values.size() * sizeof(std::uint32_t);
-      }
-      if (gather_seqs) {
-        std::copy(st.seqs.begin(), st.seqs.end(),
-                  merged_.seqs.begin() + static_cast<std::ptrdiff_t>(key_cursor));
-        driver_copied += st.seqs.size() * sizeof(std::uint32_t);
-      }
-      std::copy(st.runs.begin(), st.runs.end(),
-                merged_.runs.begin() + static_cast<std::ptrdiff_t>(run_cursor));
-      driver_copied += st.runs.size() * sizeof(QueryRun);
-      for (std::size_t r = 0; r < st.runs.size(); ++r) {
-        merged_.run_offsets[run_cursor + r] = key_cursor + st.run_offsets[r];
-      }
-      driver_copied += st.runs.size() * sizeof(std::uint64_t);
-      key_cursor += st.keys.size();
-      run_cursor += st.runs.size();
-    }
-  }
+  simt::ThreadPool::instance().parallel_for(num_shards, [&](std::uint64_t s) {
+    shards_[s].group_emit(gather_values, gather_seqs, merged_, key_base[s],
+                          run_base[s]);
+  });
   merged_.run_offsets[total_runs] = total_keys;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     merged_.staged += shards_[s].staged;
     merged_.dropped += shards_[s].dropped;
     merged_.duplicates += shards_[s].duplicates;
   }
-  copied_bytes = driver_copied;
-  return driver_copied;
 }
 
 }  // namespace sg::core

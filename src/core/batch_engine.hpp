@@ -23,13 +23,13 @@
 //      dedup exhaustive: every occurrence of a (vertex, key) pair lands in
 //      the one shard that owns the vertex, so "most recent edge and its
 //      weight" stays deterministic across shard boundaries. Grouping is
-//      TWO-PASS and merge-free: shards first COUNT their runs and
-//      post-dedup keys, the counts prefix-sum into disjoint slices of one
-//      presized global run list, and shards then PLACE their output
-//      directly into those slices in parallel — stage 3 consumes shard
-//      output with zero driver-side copy (the PR 3 concatenating merge
-//      survives only as a differential reference, GraphConfig::merge_free
-//      = false).
+//      TWO-PASS: every shard first COUNTS its runs and post-dedup keys,
+//      then PLACES them. A lone shard places into its own arrays; several
+//      shards prefix-sum their counts into disjoint slices of one presized
+//      global run list and place directly into those slices in parallel,
+//      so stage 3 consumes shard output with no driver-side copy. This
+//      count/place pair is the one place the most-recent-wins rule of
+//      batched updates is written down.
 //   3. APPLY (parallel) — simt::launch_runs schedules contiguous run
 //      ranges balanced by query count; each warp walks a run's bucket
 //      chain once through the slabhash bulk entry points, software-
@@ -207,8 +207,8 @@ class BatchStaging {
   /// Stage 2, pass 2: emit the prepared runs into `dst`'s presized arrays,
   /// runs at [run_base, run_base + grouped_runs()), keys (and values /
   /// seqs, when gathered) at [key_base, key_base + grouped_keys()).
-  /// `dst` may be *this (the single-shard / legacy self-emit) or a shared
-  /// global staging that several shards emit into concurrently — slices
+  /// `dst` may be *this (the lone-shard self-emit) or a shared global
+  /// staging that several shards emit into concurrently — slices
   /// are disjoint by construction of the prefix-summed bases, so the
   /// parallel writes need no synchronization. `gather_values` copies the
   /// staged weights into `dst.values` run-order; `gather_seqs` keeps the
@@ -217,14 +217,8 @@ class BatchStaging {
                   std::uint64_t key_base, std::uint64_t run_base) const;
 
   /// Pass 2 into this staging's own arrays (resizes them to the prepared
-  /// counts and emits at base 0 — the lone-shard and legacy-merge path).
+  /// counts and emits at base 0 — the lone-shard path).
   void emit_self(bool gather_values, bool gather_seqs);
-
-  /// Fused single-pass grouping (sort, then cut + emit in one scan) for
-  /// stagings that need no cross-shard assembly — the lone-shard pipeline
-  /// path and unit tests. Equivalent output to group_prepare + emit_self,
-  /// without paying the counting pass where no global placement needs it.
-  void group(bool dedup, bool gather_values, bool gather_seqs);
 
   /// Runs / keys the emit pass will produce (valid after group_prepare).
   std::uint64_t grouped_runs() const noexcept { return grouped_runs_; }
@@ -319,19 +313,15 @@ class ShardedStaging {
   }
   BatchStaging& shard(std::uint32_t s) { return shards_[s]; }
 
-  /// Assembles the prepared shards (each past group_prepare) into the one
-  /// run list front() exposes. `merge_free` selects two-pass, zero-copy
-  /// assembly: per-shard run/key counts prefix-sum into disjoint slices of
-  /// the presized global arrays and every shard EMITS ITS OWN OUTPUT
-  /// directly into its slice, in parallel — no driver-side copy exists.
-  /// `merge_free == false` keeps the PR 3 copying merge (shards self-emit,
-  /// then the caller's thread concatenates) as the differential reference.
-  /// Returns the bytes the driver copied: always 0 when merge-free. Either
-  /// way runs keep shard-major, source-ascending-within-shard order:
+  /// Emits the prepared shards (each past group_prepare) into the one run
+  /// list front() exposes. A lone shard emits into its own arrays
+  /// (emit_self). Several shards prefix-sum their run/key counts into
+  /// disjoint slices of the presized global arrays and each EMITS ITS OWN
+  /// OUTPUT directly into its slice, in parallel, with no driver-side
+  /// copy. Runs keep shard-major, source-ascending-within-shard order:
   /// deterministic, and consecutive runs still share sources for the apply
   /// counter batching. Debug builds re-validate the shard partition.
-  std::uint64_t finalize(bool merge_free, bool gather_values,
-                         bool gather_seqs);
+  void finalize(bool gather_values, bool gather_seqs);
 
   /// The partition guard behind finalize()'s debug assertion, callable
   /// directly (tests, paranoid callers): throws std::logic_error if any
@@ -342,11 +332,6 @@ class ShardedStaging {
   const BatchStaging& front() const {
     return shards_.size() == 1 ? shards_[0] : merged_;
   }
-
-  /// Driver-copied bytes of the last finalize() on this buffer (always 0
-  /// when merge-free). Written by the staging job, read by the pipeline
-  /// driver after the epoch fence — the fence orders the accesses.
-  std::uint64_t copied_bytes = 0;
 
   std::uint64_t total_staged() const;
   std::uint64_t total_dropped() const;
@@ -382,10 +367,6 @@ struct BatchPipelineStats {
   double stage_seconds = 0.0;    ///< summed stage+group+finalize windows
   double apply_seconds = 0.0;    ///< summed apply (or bulk-search) windows
   double overlap_seconds = 0.0;  ///< stage(e+1) ∩ apply(e) window overlap
-  /// Bytes the driver copied to assemble shard output, summed over epochs:
-  /// 0 under merge-free staging (shards emit straight into the presized
-  /// global slices), > 0 only on the legacy copying merge.
-  std::uint64_t merge_copy_bytes = 0;
   /// Input items per epoch of the last batch's epoch plan (== the batch
   /// size when it ran as one epoch). With epochs_applied below, failure
   /// paths reconstruct which raw input items never reached the apply stage.

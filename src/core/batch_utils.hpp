@@ -1,6 +1,6 @@
 // Host-side helpers shared by the batched mutation paths: batch validation
-// and id range discovery. (Undirected mirroring happens in place on both
-// the engine and oracle paths — no mirrored temp vector is ever built.)
+// and id range discovery. (Undirected mirroring happens in place while
+// staging — no mirrored temp vector is ever built.)
 #pragma once
 
 #include <cstdint>

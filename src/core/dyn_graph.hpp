@@ -254,8 +254,7 @@ class EdgeSlabIterator {
 /// The paper's slab-based dynamic graph (one SlabHash table per vertex),
 /// instantiated as DynGraphMap (per-edge weights) or DynGraphSet
 /// (destinations only). Batched mutations and queries run through the
-/// staged batch engine by default (GraphConfig::batch_engine); the
-/// phase-concurrent contract — mutation batches never overlap query
+/// staged batch engine (src/core/batch_engine.hpp); the phase-concurrent contract — mutation batches never overlap query
 /// batches — is the caller's responsibility on the synchronous API and is
 /// ENFORCED by the scheduled submit_* API.
 template <class Policy>
@@ -455,8 +454,8 @@ class DynGraph {
   /// (journal_truncated_on_attach() reports how much), mid-file corruption
   /// throws persist::CorruptJournal, and the sequence continues after
   /// max(file's last record, this graph's cursor) — recovery replays
-  /// first, then attaches. Requires batch_engine; throws std::logic_error
-  /// if a journal is already attached.
+  /// first, then attaches. Throws std::logic_error if a journal is
+  /// already attached.
   void attach_journal(const std::string& path);
   bool has_journal() const noexcept { return journal_ != nullptr; }
 
@@ -618,8 +617,7 @@ class DynGraph {
   const ChainFeedback& chain_feedback() const { return feedback_; }
 
   /// Stage/apply wall-clock profile of the last batched mutation,
-  /// including the overlap the double buffer achieved and the bytes the
-  /// driver copied to assemble shard output (0 under merge-free staging).
+  /// including the overlap the double buffer achieved.
   const BatchPipelineStats& last_batch_stats() const {
     return pipeline_stats_;
   }
@@ -657,25 +655,14 @@ class DynGraph {
   void prepare_batch(std::span<const WeightedEdge> edges);
   void ensure_vertex(VertexId u, std::uint32_t degree_hint);
 
-  /// Table lookup on the insert path; creates a single-bucket table on
-  /// first use ("if the connectivity information for a vertex is not
-  /// available, we construct a hash table with a single bucket") and
-  /// revives deleted sources. Safe under concurrent warps.
-  slabhash::TableRef acquire_table(VertexId u);
-
-  // Scalar Algorithm-1 oracle (src/core/scalar_oracle.hpp): retained as the
-  // differential reference for engine-off configs and tests; undirected
-  // batches mirror in place (no temp vector), never on the engine path.
-  std::uint64_t insert_directed(std::span<const WeightedEdge> edges);
-  std::uint64_t delete_directed(std::span<const Edge> edges);
-
-  // Batch-engine paths (selected by SlabGraphConfig::batch_engine): stage
-  // sharded, group into per-(vertex, bucket) runs, apply through the bulk
-  // slab ops — with large batches split into double-buffered epochs whose
-  // staging overlaps the previous epoch's apply.
+  // Batch-engine paths: stage sharded, group into per-(vertex, bucket)
+  // runs, apply through the bulk slab ops — with large batches split into
+  // double-buffered epochs whose staging overlaps the previous epoch's
+  // apply. First-touch tables ("if the connectivity information for a
+  // vertex is not available, we construct a hash table with a single
+  // bucket") are created by the one stage shard owning the vertex.
   std::uint64_t insert_batched(std::span<const WeightedEdge> edges);
   std::uint64_t delete_batched(std::span<const Edge> edges);
-  void exist_batched(std::span<const Edge> queries, std::uint8_t* out) const;
   /// Shared batched-search driver (edges_exist / edge_weights): the query
   /// batch splits into double-buffered epochs — stage+group of slice N+1
   /// runs as a background pool job while the bulk searches of slice N run
@@ -766,7 +753,6 @@ class DynGraph {
   GraphConfig config_;
   mutable memory::SlabArena arena_;
   VertexDictionary dict_;
-  std::mutex lazy_table_mutex_;  ///< serializes first-touch table creation
   /// Double-buffered staging areas of the batch engine. Mutation batches
   /// are phases (the phase-concurrent model forbids overlapping them), so
   /// two buffers — the applying epoch and the staging epoch — serve every

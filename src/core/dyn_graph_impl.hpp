@@ -15,7 +15,6 @@
 #include "src/core/batch_utils.hpp"
 #include "src/core/dyn_graph.hpp"
 #include "src/core/errors.hpp"
-#include "src/core/scalar_oracle.hpp"
 #include "src/persist/journal.hpp"
 #include "src/persist/snapshot.hpp"
 #include "src/simt/atomics.hpp"
@@ -104,11 +103,6 @@ DynGraph<Policy>::~DynGraph() {
 
 template <class Policy>
 void DynGraph<Policy>::attach_journal(const std::string& path) {
-  if (!config_.batch_engine) {
-    throw std::invalid_argument(
-        "journal_path requires batch_engine: the scalar oracle path does "
-        "not journal");
-  }
   if (journal_) {
     throw std::logic_error("a journal is already attached to this graph");
   }
@@ -231,26 +225,6 @@ void DynGraph<Policy>::prepare_batch(std::span<const WeightedEdge> edges) {
 }
 
 template <class Policy>
-slabhash::TableRef DynGraph<Policy>::acquire_table(VertexId u) {
-  slabhash::TableRef table = dict_.table_acquire(u);
-  if (table.valid()) {
-    if (dict_.deleted(u)) dict_.set_deleted(u, false);  // source revival
-    return table;
-  }
-  std::lock_guard<std::mutex> lock(lazy_table_mutex_);
-  table = dict_.table_acquire(u);
-  if (!table.valid()) {
-    const memory::SlabHandle base =
-        arena_.allocate_contiguous(1, slabhash::kEmptyKey);
-    table = {base, 1};
-    dict_.publish_table(u, table);
-    dict_.set_edge_count(u, 0);
-  }
-  dict_.set_deleted(u, false);
-  return table;
-}
-
-template <class Policy>
 void DynGraph<Policy>::insert_vertices(
     std::span<const VertexId> ids, std::span<const std::uint32_t> degree_hints) {
   if (!degree_hints.empty() && degree_hints.size() != ids.size()) {
@@ -310,25 +284,7 @@ void DynGraph<Policy>::bulk_build(std::span<const WeightedEdge> edges) {
     }
     advance_journal_seq(journal_->append_insert_vertices(ref_ids, hints));
   }
-  if (config_.batch_engine) {
-    insert_batched(edges);  // stages the mirror direction in place
-    return;
-  }
-  insert_directed(edges);  // oracle path: mirrors in place too
-}
-
-// --------------------------------------------------------------------------
-// Algorithm 1: warp-cooperative batched edge insertion. The scalar body
-// lives in src/core/scalar_oracle.hpp (test-only differential reference;
-// the batch engine is the production path).
-// --------------------------------------------------------------------------
-
-template <class Policy>
-std::uint64_t DynGraph<Policy>::insert_directed(
-    std::span<const WeightedEdge> edges) {
-  return oracle::insert_directed<Policy>(
-      arena_, dict_, edges, config_.undirected, config_.hash_seed,
-      [this](VertexId u) { return acquire_table(u); });
+  insert_batched(edges);  // stages the mirror direction in place
 }
 
 template <class Policy>
@@ -336,8 +292,7 @@ std::uint64_t DynGraph<Policy>::insert_edges(std::span<const WeightedEdge> edges
   if (edges.empty()) return 0;
   ensure_journal_usable();
   prepare_batch(edges);
-  if (config_.batch_engine) return insert_batched(edges);
-  return insert_directed(edges);
+  return insert_batched(edges);
 }
 
 // --------------------------------------------------------------------------
@@ -473,7 +428,6 @@ std::uint64_t DynGraph<Policy>::run_epoch_pipeline(
                 shards);
     stats.stage_seconds +=
         static_cast<double>(pipeline_now_ns() - t0) * 1e-9;
-    stats.merge_copy_bytes += cur->copied_bytes;
   }
 
   std::uint64_t total = 0;
@@ -534,7 +488,6 @@ std::uint64_t DynGraph<Policy>::run_epoch_pipeline(
           stats.overlap_seconds += static_cast<double>(hi - lo) * 1e-9;
         }
       }
-      stats.merge_copy_bytes += nxt->copied_bytes;
       std::swap(cur, nxt);
     }
   }
@@ -547,11 +500,10 @@ std::uint64_t DynGraph<Policy>::run_mutation_pipeline(
     std::uint64_t num_edges, bool gather_values, bool erase,
     StageShardFn&& stage_shard) {
   auto& pool = simt::ThreadPool::instance();
-  // One epoch's full staging pass: stage + group every shard of the
-  // epoch's input sub-span in parallel (two-pass count/place when sharded,
-  // fused single-pass otherwise), then finalize the shard outputs into
-  // the one run list apply consumes — merge-free by default, so NO work
-  // is left for the fence bubble.
+  // One epoch's full staging pass: stage + count every shard of the
+  // epoch's input sub-span in parallel, then finalize places the shard
+  // outputs into the one run list apply consumes, so NO work is left for
+  // the fence bubble.
   const auto stage_epoch = [&, gather_values](ShardedStaging* buf,
                                               std::uint64_t begin,
                                               std::uint64_t end,
@@ -564,14 +516,9 @@ std::uint64_t DynGraph<Policy>::run_mutation_pipeline(
     pool.parallel_for(shards, [&, buf, begin, end, shards](std::uint64_t s) {
       BatchStaging& st = buf->shard(static_cast<std::uint32_t>(s));
       stage_shard(begin, end, static_cast<std::uint32_t>(s), shards, st);
-      if (shards == 1) {
-        // No assembly needed: fused single-pass grouping, no count pass.
-        st.group(/*dedup=*/true, gather_values, /*gather_seqs=*/false);
-      } else {
-        st.group_prepare(/*dedup=*/true);
-      }
+      st.group_prepare(/*dedup=*/true);
     });
-    buf->finalize(config_.merge_free, gather_values, /*gather_seqs=*/false);
+    buf->finalize(gather_values, /*gather_seqs=*/false);
     buf->window_note(t0, pipeline_now_ns());
   };
   return run_epoch_pipeline(
@@ -695,7 +642,7 @@ std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
 template <class Policy>
 void DynGraph<Policy>::maybe_auto_rehash() {
   const double threshold = config_.auto_rehash_p99_slabs;
-  if (threshold <= 0.0 || !config_.batch_engine) return;
+  if (threshold <= 0.0) return;
   if (feedback_.runs_observed == 0) return;
   // hist bin b counts chains of b + 2 slabs (last bin saturating): chains
   // below 2 slabs are never histogrammed, so thresholds clamp to 2, and
@@ -969,15 +916,9 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
                           config_.hash_seed, static_cast<std::uint32_t>(s),
                           shards, table_of, st,
                           static_cast<std::uint32_t>(begin));
-      if (shards == 1) {
-        st.group(/*dedup=*/false, /*gather_values=*/false,
-                 /*gather_seqs=*/true);
-      } else {
-        st.group_prepare(/*dedup=*/false);
-      }
+      st.group_prepare(/*dedup=*/false);
     });
-    buf->finalize(config_.merge_free, /*gather_values=*/false,
-                  /*gather_seqs=*/true);
+    buf->finalize(/*gather_values=*/false, /*gather_seqs=*/true);
     buf->window_note(t0, pipeline_now_ns());
   };
 
@@ -993,12 +934,6 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
     std::lock_guard<std::mutex> lock(query_stats_mutex_);
     query_stats_ = stats;
   }
-}
-
-template <class Policy>
-void DynGraph<Policy>::exist_batched(std::span<const Edge> queries,
-                                     std::uint8_t* out) const {
-  search_batched(queries, out, /*weights_out=*/nullptr);
 }
 
 // --------------------------------------------------------------------------
@@ -1206,23 +1141,15 @@ PhaseScheduleStats DynGraph<Policy>::last_schedule_stats() const {
 
 // --------------------------------------------------------------------------
 // Batched edge deletion (§IV-C2): Algorithm 1 with delete instead of
-// replace; the returned boolean decrements the exact edge counters. Scalar
-// body in src/core/scalar_oracle.hpp (test-only differential reference).
+// replace; the bulk erases' counts decrement the exact edge counters.
 // --------------------------------------------------------------------------
-
-template <class Policy>
-std::uint64_t DynGraph<Policy>::delete_directed(std::span<const Edge> edges) {
-  return oracle::delete_directed<Policy>(arena_, dict_, edges,
-                                         config_.undirected, config_.hash_seed);
-}
 
 template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_edges(std::span<const Edge> edges) {
   if (edges.empty()) return 0;
   ensure_journal_usable();
   validate_batch(edges);
-  if (config_.batch_engine) return delete_batched(edges);
-  return delete_directed(edges);
+  return delete_batched(edges);
 }
 
 // --------------------------------------------------------------------------
@@ -1359,17 +1286,7 @@ template <class Policy>
 void DynGraph<Policy>::edges_exist(std::span<const Edge> queries,
                                    std::uint8_t* out) const {
   if (queries.empty()) return;
-  if (config_.batch_engine) {
-    exist_batched(queries, out);  // batched map_search through the engine
-    return;
-  }
-  simt::launch(queries.size(), [&](const simt::WarpId& warp) {
-    for (int lane = 0; lane < simt::kWarpSize; ++lane) {
-      if (!warp.lane_active(lane)) continue;
-      const std::uint64_t i = warp.item(lane);
-      out[i] = edge_exists(queries[i].src, queries[i].dst) ? 1 : 0;
-    }
-  });
+  search_batched(queries, out, /*weights_out=*/nullptr);
 }
 
 template <class Policy>
@@ -1384,21 +1301,7 @@ void DynGraph<Policy>::edge_weights(std::span<const Edge> queries,
                                     Weight* weights, std::uint8_t* found) const
     requires Policy::kHasValues {
   if (queries.empty()) return;
-  if (config_.batch_engine) {
-    search_batched(queries, found, weights);
-    return;
-  }
-  // Scalar fallback (the differential oracle): one point lookup per lane.
-  simt::launch(queries.size(), [&](const simt::WarpId& warp) {
-    for (int lane = 0; lane < simt::kWarpSize; ++lane) {
-      if (!warp.lane_active(lane)) continue;
-      const std::uint64_t i = warp.item(lane);
-      const slabhash::MapFindResult r =
-          edge_weight(queries[i].src, queries[i].dst);
-      weights[i] = r.found ? r.value : Weight{0};
-      if (found != nullptr) found[i] = r.found ? 1 : 0;
-    }
-  });
+  search_batched(queries, found, weights);
 }
 
 template <class Policy>
@@ -1637,12 +1540,11 @@ std::uint32_t DynGraph<Policy>::rehash_long_chains(double max_chain_slabs,
   // The targeted path is complete for thresholds >= 1 slab: an offender
   // has more live keys than base capacity, so some bulk insert extended
   // (and therefore observed) a chain past the base slab and recorded the
-  // vertex. Sub-slab thresholds can flag tables that never chained,
-  // scalar-path inserts (engine off) report no feedback, and a saturated
-  // candidate list has dropped observations — all fall back to the full
-  // sweep (which resets the feedback).
-  const bool targeted = !full_scan && config_.batch_engine &&
-                        max_chain_slabs >= 1.0 && !feedback_.saturated;
+  // vertex. Sub-slab thresholds can flag tables that never chained, and a
+  // saturated candidate list has dropped observations — both fall back to
+  // the full sweep (which resets the feedback).
+  const bool targeted =
+      !full_scan && max_chain_slabs >= 1.0 && !feedback_.saturated;
   last_rehash_stats_.targeted = targeted;
   std::uint32_t rehashed = 0;
   if (targeted) {

@@ -81,13 +81,6 @@ struct GraphConfig {
   /// anything randomized inside the structure. Fixed => reproducible runs.
   std::uint64_t hash_seed = 0x5EEDF00DULL;
 
-  /// Route batched mutations and queries through the staged batch engine
-  /// (stage -> group into per-(vertex, bucket) runs -> bulk slab operations
-  /// with software pipelining; src/core/batch_engine.hpp). `false` keeps
-  /// the scalar Algorithm-1 warp path, retained as the differential-test
-  /// oracle and for latency-sensitive tiny batches.
-  bool batch_engine = true;
-
   /// Shards of the batch engine's stage phase. Shard s owns every vertex u
   /// with u % shards == s, so staging, table creation, and the grouped
   /// (vertex, bucket) runs stay disjoint per shard and the stage pass runs
@@ -108,14 +101,6 @@ struct GraphConfig {
   /// epoch (the degenerate pipeline). Query batches (edges_exist /
   /// edge_weights) pipeline through the same epoch plan.
   std::uint32_t pipeline_epoch_edges = 0;
-
-  /// Merge-free staging: shards count their grouped runs/keys, the counts
-  /// prefix-sum into disjoint slices of one presized global run list, and
-  /// shards emit directly into their slices in parallel — the apply stage
-  /// consumes shard output with zero driver-side copy
-  /// (BatchPipelineStats::merge_copy_bytes == 0). `false` restores the
-  /// PR 3 concatenating merge, kept as the differential reference.
-  bool merge_free = true;
 
   /// Automatic rehash policy (§III "periodically perform rehashing"): after
   /// every batched mutation the engine inspects the live chain histogram
@@ -225,7 +210,7 @@ struct GraphConfig {
   /// (before a submit_* future resolves); PartialBatchError aborts journal
   /// their exact committed prefix. An existing file is scanned on attach:
   /// a torn tail is truncated to the last valid record, mid-file
-  /// corruption throws persist::CorruptJournal. Requires batch_engine.
+  /// corruption throws persist::CorruptJournal.
   /// Empty (default) = no journal. Recovery: persist::recover().
   std::string journal_path;
 

@@ -24,20 +24,6 @@ void VertexDictionary::grow(std::uint32_t min_capacity) {
   ++growth_count_;
 }
 
-slabhash::TableRef VertexDictionary::table_acquire(VertexId u) const noexcept {
-  const Entry& e = entries_[u];
-  const memory::SlabHandle base = simt::atomic_load(e.table_base);
-  // The bucket-count read may race an in-flight publish; when it does, the
-  // base handle read above was kNullSlab and the caller discards the ref.
-  return {base, simt::racy_load(e.num_buckets)};
-}
-
-void VertexDictionary::publish_table(VertexId u, slabhash::TableRef ref) noexcept {
-  Entry& e = entries_[u];
-  simt::racy_store(e.num_buckets, ref.num_buckets);
-  simt::atomic_store(e.table_base, ref.base);
-}
-
 std::uint64_t VertexDictionary::total_edges() const noexcept {
   std::uint64_t total = 0;
   for (const Entry& e : entries_) total += e.edge_count;

@@ -6,10 +6,10 @@
 // adjacency lives on owner(u), so degree(u) and u-sourced queries are
 // single-shard lookups. The router splits one client batch into per-shard
 // sub-batches with the same count -> prefix-sum -> stable-emit pattern the
-// merge-free staging layer uses in-process (PR 4): one pass counts each
-// shard's share, a prefix sum carves disjoint slices of ONE presized
-// backing buffer, and a second pass emits every item into its shard's
-// slice preserving input order. No per-edge allocation, and the sync
+// batch engine's staging uses in-process (ShardedStaging::finalize): one
+// pass counts each shard's share, a prefix sum carves disjoint slices of
+// ONE presized backing buffer, and a second pass emits every item into its
+// shard's slice preserving input order. No per-edge allocation, and the sync
 // serving path hands each shard a zero-copy span of the shared buffer.
 //
 // Undirected tiers are a ROUTER property, not a shard property: the shards

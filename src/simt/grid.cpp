@@ -4,53 +4,6 @@
 
 namespace sg::simt {
 
-namespace {
-
-WarpId make_warp_id(std::uint32_t warp, std::uint64_t num_items) {
-  WarpId id;
-  id.warp = warp;
-  id.first_item = static_cast<std::uint64_t>(warp) * kWarpSize;
-  const std::uint64_t remaining =
-      num_items > id.first_item ? num_items - id.first_item : 0;
-  id.active = lanemask_below(
-      remaining >= kWarpSize ? kWarpSize : static_cast<int>(remaining));
-  return id;
-}
-
-}  // namespace
-
-void launch(std::uint64_t num_items, const WarpKernel& kernel,
-            const LaunchConfig& config) {
-  if (num_items == 0) return;
-  const std::uint32_t num_warps = warps_for(num_items);
-  if (config.serial) {
-    for (std::uint32_t w = 0; w < num_warps; ++w) kernel(make_warp_id(w, num_items));
-    return;
-  }
-  std::uint32_t per_chunk = config.warps_per_chunk;
-  if (per_chunk == 0) {
-    // Auto: ~4 chunks per worker caps scheduling overhead at a handful of
-    // pool hand-offs per launch yet leaves slack for uneven warps; the cap
-    // keeps huge launches from degenerating into one chunk per worker with
-    // no rebalancing at the tail.
-    // A 1-thread pool reports size 0 (it runs jobs inline).
-    const std::uint32_t workers =
-        ThreadPool::instance().size() > 0 ? ThreadPool::instance().size() : 1u;
-    const std::uint32_t per_worker =
-        config.chunks_per_worker != 0 ? config.chunks_per_worker : 4u;
-    per_chunk = num_warps / (workers * per_worker);
-    if (per_chunk == 0) per_chunk = 1;
-    if (per_chunk > 256u) per_chunk = 256u;
-  }
-  const std::uint64_t num_chunks = (num_warps + per_chunk - 1) / per_chunk;
-  ThreadPool::instance().parallel_for(num_chunks, [&](std::uint64_t chunk) {
-    const std::uint32_t first = static_cast<std::uint32_t>(chunk) * per_chunk;
-    const std::uint32_t last =
-        first + per_chunk < num_warps ? first + per_chunk : num_warps;
-    for (std::uint32_t w = first; w < last; ++w) kernel(make_warp_id(w, num_items));
-  });
-}
-
 void launch_runs(std::span<const std::uint64_t> offsets,
                  const RunRangeKernel& kernel, const LaunchConfig& config) {
   if (offsets.size() < 2) return;
@@ -62,7 +15,7 @@ void launch_runs(std::span<const std::uint64_t> offsets,
   const std::uint64_t total_items = offsets.back() - offsets.front();
   const std::uint64_t workers =
       ThreadPool::instance().size() > 0 ? ThreadPool::instance().size() : 1u;
-  // ~4 chunks per worker (as in launch); a chunk closes once it holds its
+  // ~4 chunks per worker by default; a chunk closes once it holds its
   // share of ITEMS, so a single skewed run fills a whole chunk while
   // singleton runs pack together.
   const std::uint64_t target_chunks =

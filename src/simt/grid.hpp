@@ -1,8 +1,7 @@
-// Grid launch: the CUDA kernel-launch substitute. A launch over N work
-// items creates ceil(N/32) warps; each warp runs the user's warp-kernel
-// with a WarpId describing which items its lanes carry. Warps are batched
-// into chunks to amortize scheduling overhead and dispatched onto the
-// shared ThreadPool.
+// Grid launch: the CUDA kernel-launch substitutes. launch_warps runs a
+// fixed number of warps whose lanes pull work from a shared queue;
+// launch_runs schedules contiguous ranges of irregular runs balanced by
+// item count. Both dispatch onto the shared ThreadPool.
 #pragma once
 
 #include <cstdint>
@@ -19,15 +18,8 @@ namespace sg::simt {
 using WarpKernel = std::function<void(const WarpId&)>;
 
 struct LaunchConfig {
-  /// Warps per scheduling chunk. 0 (the default) derives a chunk size from
-  /// the launch width and the pool size — a few chunks per worker — so
-  /// small launches are not drowned in per-task scheduling overhead while
-  /// large irregular launches still balance. Set explicitly to trade
-  /// overhead (larger) against balance for irregular kernels (smaller,
-  /// Algorithm 2).
-  std::uint32_t warps_per_chunk = 0;
-  /// Target scheduling chunks per pool worker for the auto heuristics
-  /// (launch and launch_runs). 0 = the default of 4. The batch pipeline
+  /// Target scheduling chunks per pool worker for launch_runs' auto
+  /// chunking. 0 = the default of 4. The batch pipeline
   /// raises this while a staging job shares the pool: more, smaller chunks
   /// let the round-robin scheduler interleave the two jobs finely instead
   /// of parking whole workers on one of them.
@@ -35,10 +27,6 @@ struct LaunchConfig {
   /// Run serially on the calling thread (deterministic debugging).
   bool serial = false;
 };
-
-/// Launch a warp-kernel over `num_items` work items (one item per lane).
-void launch(std::uint64_t num_items, const WarpKernel& kernel,
-            const LaunchConfig& config = {});
 
 /// Launch exactly `num_warps` full warps; used by persistent-kernel-style
 /// code (Algorithm 2's vertex-deletion queue) where lanes pull work from a
@@ -59,10 +47,5 @@ using RunRangeKernel = std::function<void(std::uint64_t first, std::uint64_t las
 /// engine.
 void launch_runs(std::span<const std::uint64_t> offsets,
                  const RunRangeKernel& kernel, const LaunchConfig& config = {});
-
-/// Number of warps needed for `num_items` items.
-constexpr std::uint32_t warps_for(std::uint64_t num_items) noexcept {
-  return static_cast<std::uint32_t>((num_items + kWarpSize - 1) / kWarpSize);
-}
 
 }  // namespace sg::simt

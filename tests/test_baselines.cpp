@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/baselines/csr/csr.hpp"
 #include "src/baselines/faim/faim_graph.hpp"
 #include "src/baselines/hornet/hornet_graph.hpp"
+#include "src/simt/thread_pool.hpp"
 #include "src/util/prng.hpp"
 
 namespace sg::baselines {
@@ -152,6 +154,47 @@ TEST(HornetGraph, BulkBuildMatchesBatchInsert) {
     std::sort(va.begin(), va.end());
     std::sort(vb.begin(), vb.end());
     ASSERT_EQ(va, vb) << "vertex " << u;
+  }
+}
+
+TEST(HornetGraph, ParallelBatchGrowsManyBlocks) {
+  // Batches in which every vertex outgrows its block, on a 4-thread pool:
+  // block growth resizes the shared pool storage of a size class, so no
+  // worker may hold a pointer into it while another grows a block. Each
+  // round doubles every degree, moving every list to the next class.
+  constexpr std::uint32_t kVertices = 2048;
+  constexpr int kRounds = 6;  // degree 1 -> 64
+  const unsigned restore = simt::ThreadPool::instance().requested();
+  simt::ThreadPool::instance().resize(4);
+  hornet::HornetGraph g(kVertices);
+  std::vector<std::map<VertexId, core::Weight>> want(kVertices);
+  std::vector<WeightedEdge> batch;
+  for (VertexId u = 0; u < kVertices; ++u) {
+    batch.push_back({u, (u + 1) % kVertices, u});
+  }
+  std::uint32_t next = 2;  // dst offset of the next new edge per vertex
+  for (int round = 0; round <= kRounds; ++round) {
+    for (const WeightedEdge& e : batch) want[e.src][e.dst] = e.weight;
+    if (round == kRounds) batch.push_back({7, 8, 99});  // replaces a weight
+    const std::uint64_t fresh = round == 0 ? 1 : 1u << (round - 1);
+    EXPECT_EQ(g.insert_edges(batch), kVertices * fresh) << "round " << round;
+    batch.clear();
+    for (std::uint32_t k = 0; k < (1u << round) && round < kRounds; ++k) {
+      for (VertexId u = 0; u < kVertices; ++u) {
+        batch.push_back({u, (u + next) % kVertices, u + next});
+      }
+      ++next;
+    }
+  }
+  simt::ThreadPool::instance().resize(restore);
+  want[7][8] = 99;
+  EXPECT_EQ(g.num_edges(), std::uint64_t{kVertices} << kRounds);
+  for (VertexId u = 0; u < kVertices; ++u) {
+    std::map<VertexId, core::Weight> got;
+    for (std::uint32_t i = 0; i < g.degree(u); ++i) {
+      got[g.neighbors(u)[i]] = g.weights(u)[i];
+    }
+    ASSERT_EQ(got, want[u]) << "vertex " << u;
   }
 }
 

@@ -1,9 +1,8 @@
 // Differential tests of the staged batch engine (src/core/batch_engine.hpp):
-// the bulk path (config.batch_engine = true, the default) must produce a
-// graph identical to the scalar Algorithm-1 path on the same inputs —
-// random and skewed batches, inserts, erases, bulk build, and batched
-// existence queries — plus unit tests of the staging/grouping pass and the
-// slabhash bulk entry points it drives.
+// it must produce the graph the reference graph of tests/graph_test_util.hpp
+// describes on the same inputs — random and skewed batches, inserts,
+// erases, bulk build, and batched existence queries — plus unit tests of
+// the staging/grouping pass and the slabhash bulk entry points it drives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,12 +24,11 @@ namespace {
 
 using namespace testutil;
 
-GraphConfig engine_config(bool batch_engine, bool undirected = false,
+GraphConfig engine_config(bool undirected = false,
                           std::uint32_t capacity = 256) {
   GraphConfig cfg;
   cfg.vertex_capacity = capacity;
   cfg.undirected = undirected;
-  cfg.batch_engine = batch_engine;
   return cfg;
 }
 
@@ -52,10 +50,8 @@ std::vector<WeightedEdge> skewed_batch(std::uint64_t seed, std::size_t count,
 
 template <class Policy>
 void run_differential(bool undirected, std::uint64_t seed) {
-  DynGraph<Policy> bulk(engine_config(true, undirected));
-  DynGraph<Policy> scalar(engine_config(false, undirected));
-  ASSERT_TRUE(bulk.config().batch_engine);
-  ASSERT_FALSE(scalar.config().batch_engine);
+  DynGraph<Policy> bulk(engine_config(undirected));
+  ReferenceGraph ref(undirected);
 
   // Interleave random and skewed insert batches with erase batches drawn
   // from the same distributions, checking equality after every phase.
@@ -63,12 +59,8 @@ void run_differential(bool undirected, std::uint64_t seed) {
     const auto inserts = round % 2 == 0
                              ? random_batch(seed + round, 600, 180)
                              : skewed_batch(seed + round, 600, 180);
-    const std::uint64_t added = bulk.insert_edges(inserts);
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(added, scalar.insert_edges(inserts));
-    }
-    expect_identical(bulk, scalar);
+    EXPECT_EQ(bulk.insert_edges(inserts), ref.insert(inserts));
+    expect_matches(bulk, ref);
 
     std::vector<Edge> erases;
     for (const auto& e : round % 2 == 0
@@ -76,22 +68,20 @@ void run_differential(bool undirected, std::uint64_t seed) {
                              : random_batch(seed + 100 + round, 250, 180)) {
       erases.push_back({e.src, e.dst});
     }
-    EXPECT_EQ(bulk.delete_edges(erases), scalar.delete_edges(erases));
-    expect_identical(bulk, scalar);
+    EXPECT_EQ(bulk.delete_edges(erases), ref.erase(erases));
+    expect_matches(bulk, ref);
 
-    // Batched existence must agree with scalar point queries on hits,
-    // misses, unknown sources, and self-loops.
+    // Batched existence must agree with the reference and with point
+    // queries on hits, misses, unknown sources, and self-loops.
     const auto probes = random_batch(seed + 200 + round, 300, 220);
     std::vector<Edge> queries;
     for (const auto& e : probes) queries.push_back({e.src, e.dst});
     std::vector<std::uint8_t> bulk_out(queries.size(), 2);
-    std::vector<std::uint8_t> scalar_out(queries.size(), 2);
     bulk.edges_exist(queries, bulk_out.data());
-    scalar.edges_exist(queries, scalar_out.data());
-    EXPECT_EQ(bulk_out, scalar_out);
+    EXPECT_EQ(bulk_out, ref.exist(queries));
     for (std::size_t q = 0; q < queries.size(); ++q) {
       EXPECT_EQ(bulk_out[q] != 0,
-                scalar.edge_exists(queries[q].src, queries[q].dst));
+                bulk.edge_exists(queries[q].src, queries[q].dst));
     }
   }
 }
@@ -109,24 +99,21 @@ TEST(BatchEngineDifferential, SetUndirected) {
   run_differential<SetPolicy>(true, 4);
 }
 
-TEST(BatchEngineDifferential, BulkBuildMatchesScalar) {
+TEST(BatchEngineDifferential, BulkBuildMatchesReference) {
   const auto edges = random_batch(7, 4000, 500);
   for (const bool undirected : {false, true}) {
-    DynGraphMap bulk(engine_config(true, undirected, 500));
-    DynGraphMap scalar(engine_config(false, undirected, 500));
+    DynGraphMap bulk(engine_config(undirected, 500));
+    ReferenceGraph ref(undirected);
     bulk.bulk_build(edges);
-    {
-      SerialOracleScope serial;  // duplicate weights resolve in input order
-      scalar.bulk_build(edges);
-    }
-    expect_identical(bulk, scalar);
+    ref.insert(edges);
+    expect_matches(bulk, ref);
   }
 }
 
 TEST(BatchEngineDifferential, MostRecentDuplicateWinsDeterministically) {
   // Duplicates inside a batch must resolve to the LAST occurrence even
   // though the engine reorders the batch internally.
-  DynGraphMap g(engine_config(true));
+  DynGraphMap g(engine_config());
   std::vector<WeightedEdge> batch;
   for (Weight w = 1; w <= 64; ++w) batch.push_back({5, 9, w});
   batch.push_back({5, 10, 1});
@@ -152,7 +139,8 @@ TEST(BatchStaging, GroupsDedupsAndPreservesRunOrder) {
                        seed, [&](VertexId) { return table; }, st);
   EXPECT_EQ(st.staged, 5u);
   EXPECT_EQ(st.dropped, 1u);
-  st.group(/*dedup=*/true, /*gather_values=*/true, /*gather_seqs=*/false);
+  st.group_prepare(/*dedup=*/true);
+  st.emit_self(/*gather_values=*/true, /*gather_seqs=*/false);
   EXPECT_EQ(st.duplicates, 2u);  // two earlier (3, 7) occurrences dropped
   EXPECT_EQ(st.keys.size(), 3u);
   ASSERT_EQ(st.run_offsets.size(), st.runs.size() + 1);
@@ -180,7 +168,8 @@ TEST(BatchStaging, UndirectedStagesBothDirectionsInPlace) {
   stage_weighted_edges(edges, /*undirected=*/true, /*keep_weights=*/true, 1,
                        [&](VertexId) { return table; }, st);
   EXPECT_EQ(st.staged, 4u);
-  st.group(true, true, false);
+  st.group_prepare(true);
+  st.emit_self(true, false);
   // (1,2) and (2,1) both appear twice across the mirror; each dedups to
   // the most recent weight.
   EXPECT_EQ(st.duplicates, 2u);
@@ -609,7 +598,7 @@ TYPED_TEST(TombstoneReuse, FullArenaRunsReportExactStatus) {
 /// whose arena cannot grow: the inserts fit only by reusing tombstones.
 template <class Policy>
 void run_full_arena_churn() {
-  GraphConfig cfg = engine_config(true, false, 64);
+  GraphConfig cfg = engine_config(false, 64);
   cfg.max_arena_chunks = 1;  // base slabs only: no overflow slab fits
   DynGraph<Policy> g(cfg);
   constexpr std::uint32_t kSources = 8;

@@ -3,15 +3,15 @@
 // keys, misses (never-inserted and already-erased pairs), self-loops, and
 // immediate reinsert-after-erase cycles — swept across stage shard counts
 // and pipeline epoch sizes, for both graph variants and both
-// directednesses. The oracle is the scalar Algorithm-1/2 path
-// (config.batch_engine = false); the bulk engine must match it edge-for-
-// edge and count-for-count after every phase. A sliding-window churn test
-// then checks that bulk inserts reuse the slots erases tombstone, so the
-// chains stop growing once the window has turned over.
+// directednesses. The oracle is the reference graph of
+// tests/graph_test_util.hpp; the bulk engine must match it edge-for-edge
+// and count-for-count after every phase. A sliding-window churn test then
+// checks that bulk inserts reuse the slots erases tombstone, so the chains
+// stop growing once the window has turned over.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
+#include <string>
 #include <vector>
 
 #include "src/core/dyn_graph.hpp"
@@ -28,16 +28,12 @@ struct StressShape {
   std::uint32_t epoch_edges;
 };
 
-GraphConfig stress_config(bool batch_engine, bool undirected,
-                          const StressShape& shape) {
+GraphConfig stress_config(bool undirected, const StressShape& shape) {
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
   cfg.undirected = undirected;
-  cfg.batch_engine = batch_engine;
-  if (batch_engine) {
-    cfg.stage_shards = shape.stage_shards;
-    cfg.pipeline_epoch_edges = shape.epoch_edges;
-  }
+  cfg.stage_shards = shape.stage_shards;
+  cfg.pipeline_epoch_edges = shape.epoch_edges;
   return cfg;
 }
 
@@ -73,29 +69,22 @@ std::vector<Edge> adversarial_erases(util::Xoshiro256& rng,
 template <class Policy>
 void run_erase_stress(bool undirected, const StressShape& shape,
                       std::uint64_t seed) {
-  DynGraph<Policy> bulk(stress_config(true, undirected, shape));
-  DynGraph<Policy> scalar(stress_config(false, undirected, shape));
+  DynGraph<Policy> bulk(stress_config(undirected, shape));
+  ReferenceGraph ref(undirected);
   util::Xoshiro256 rng(seed);
 
   // Seed population, then erase-dominant churn: each round erases ~2x the
   // edges it inserts, and reinserts a slice of what it just erased (the
   // tombstone-reuse path).
   std::vector<WeightedEdge> history = random_batch(seed, 1200, 200);
-  bulk.insert_edges(history);
-  {
-    SerialOracleScope serial;
-    scalar.insert_edges(history);
-  }
-  expect_identical(bulk, scalar);
+  EXPECT_EQ(bulk.insert_edges(history), ref.insert(history));
+  expect_matches(bulk, ref);
 
   for (int round = 0; round < 6; ++round) {
     const auto erases = adversarial_erases(rng, history, 400);
-    const std::uint64_t removed = bulk.delete_edges(erases);
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(removed, scalar.delete_edges(erases)) << "round " << round;
-    }
-    expect_identical(bulk, scalar);
+    EXPECT_EQ(bulk.delete_edges(erases), ref.erase(erases))
+        << "round " << round;
+    expect_matches(bulk, ref);
 
     // Churn: reinsert a third of the erased pairs with fresh weights, plus
     // a trickle of brand-new edges (also tracked for future erase rounds).
@@ -106,12 +95,9 @@ void run_erase_stress(bool undirected, const StressShape& shape,
     }
     const auto fresh = random_batch(seed + 100 + round, 150, 200);
     reinserts.insert(reinserts.end(), fresh.begin(), fresh.end());
-    const std::uint64_t added = bulk.insert_edges(reinserts);
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(added, scalar.insert_edges(reinserts)) << "round " << round;
-    }
-    expect_identical(bulk, scalar);
+    EXPECT_EQ(bulk.insert_edges(reinserts), ref.insert(reinserts))
+        << "round " << round;
+    expect_matches(bulk, ref);
     history.insert(history.end(), reinserts.begin(), reinserts.end());
   }
 
@@ -119,11 +105,8 @@ void run_erase_stress(bool undirected, const StressShape& shape,
   // duplicates) in one giant batch — the graph must end exactly empty.
   std::vector<Edge> drain;
   for (const auto& e : history) drain.push_back({e.src, e.dst});
-  EXPECT_EQ(bulk.delete_edges(drain), [&] {
-    SerialOracleScope serial;
-    return scalar.delete_edges(drain);
-  }());
-  expect_identical(bulk, scalar);
+  EXPECT_EQ(bulk.delete_edges(drain), ref.erase(drain));
+  expect_matches(bulk, ref);
   EXPECT_EQ(bulk.num_edges(), 0u);
 }
 
@@ -161,8 +144,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Sliding-window churn: insert the newest batch, erase the oldest, for
-// several turnovers of a fixed-size window. The oracle has the shape of
-// DynoGraph's reference_impl, a std::map<src, std::map<dst, weight>>.
+// several turnovers of a fixed-size window, compared against the
+// reference graph after every turnover.
 // ---------------------------------------------------------------------------
 
 template <class Policy>
@@ -190,22 +173,7 @@ void run_sliding_window_churn() {
     return WeightedEdge{src, static_cast<VertexId>(i),
                         static_cast<Weight>(util::mix64(i) & 0xFFFF)};
   };
-  std::map<VertexId, std::map<VertexId, Weight>> oracle;
-  const auto check = [&](const char* when) {
-    std::multiset<std::tuple<VertexId, VertexId, Weight>> expected;
-    for (const auto& [src, adj] : oracle) {
-      for (const auto& [dst, w] : adj) {
-        expected.insert({src, dst, Policy::kHasValues ? w : Weight{0}});
-      }
-    }
-    EXPECT_EQ(g.num_edges(), expected.size()) << when;
-    EXPECT_EQ(graph_edges(g), expected) << when;
-    for (VertexId u = 0; u < kSources; ++u) {
-      const auto it = oracle.find(u);
-      EXPECT_EQ(g.degree(u), it == oracle.end() ? 0u : it->second.size())
-          << when << ", vertex " << u;
-    }
-  };
+  ReferenceGraph ref(/*undirected=*/false);
 
   std::uint64_t newest = 0, oldest = 0;
   std::vector<std::uint64_t> overflow;  // overflow slabs after each turnover
@@ -213,25 +181,21 @@ void run_sliding_window_churn() {
     for (std::uint32_t step = 0; step < kWindow / kBatch; ++step) {
       std::vector<WeightedEdge> inserts;
       for (std::uint32_t i = 0; i < kBatch; ++i) {
-        inserts.push_back(edge(newest));
-        const auto& e = inserts.back();
-        oracle[e.src][e.dst] = e.weight;
-        ++newest;
+        inserts.push_back(edge(newest++));
       }
+      ASSERT_EQ(ref.insert(inserts), kBatch);
       ASSERT_EQ(g.insert_edges(inserts), kBatch);
       if (turnover == 0) continue;  // filling the window
       std::vector<Edge> erases;
       for (std::uint32_t i = 0; i < kBatch; ++i) {
         const WeightedEdge e = edge(oldest++);
         erases.push_back({e.src, e.dst});
-        auto& adj = oracle[e.src];
-        adj.erase(e.dst);
-        if (adj.empty()) oracle.erase(e.src);
       }
+      ASSERT_EQ(ref.erase(erases), kBatch);
       ASSERT_EQ(g.delete_edges(erases), kBatch);
     }
-    const std::string when = "turnover " + std::to_string(turnover);
-    check(when.c_str());
+    SCOPED_TRACE("turnover " + std::to_string(turnover));
+    expect_matches(g, ref);
     overflow.push_back(g.memory_stats().overflow_slabs);
   }
   // Slack: an eighth of the base slabs. With tombstone reuse a chain only

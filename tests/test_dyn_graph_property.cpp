@@ -1,91 +1,32 @@
 // Model-based property tests: random operation sequences applied both to
-// the DynGraph and to a std::map reference model must stay observationally
-// equivalent (edge existence, weights, exact degrees, total edge count).
-// Parameterized over seeds, variants, directedness, and load factors.
+// the DynGraph and to the reference graph of tests/graph_test_util.hpp
+// must stay observationally equivalent (edge existence, weights, exact
+// degrees, total edge count). Parameterized over seeds, variants,
+// directedness, and load factors. Insert batches go in raw — in-batch
+// duplicates with different weights and self-loops included — since the
+// engine's most-recent-wins rule is exactly what the reference spells out;
+// a duplicate-heavy sweep pins that rule at several pool widths.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/core/dyn_graph.hpp"
+#include "src/simt/thread_pool.hpp"
 #include "src/util/prng.hpp"
+#include "tests/graph_test_util.hpp"
 
 namespace sg::core {
 namespace {
+
+using testutil::expect_matches;
+using testutil::ReferenceGraph;
 
 struct PropertyParam {
   std::uint64_t seed;
   bool undirected;
   double load_factor;
-};
-
-/// Reference model: adjacency as a map of maps, mirroring the paper's
-/// semantics (unique edges, most recent weight, no self-loops).
-class ReferenceGraph {
- public:
-  explicit ReferenceGraph(bool undirected) : undirected_(undirected) {}
-
-  std::uint64_t insert(const std::vector<WeightedEdge>& batch) {
-    std::uint64_t added = 0;
-    for (const auto& e : batch) {
-      if (e.src == e.dst) continue;
-      added += insert_one(e.src, e.dst, e.weight);
-      if (undirected_) added += insert_one(e.dst, e.src, e.weight);
-    }
-    return added;
-  }
-
-  std::uint64_t erase(const std::vector<Edge>& batch) {
-    std::uint64_t removed = 0;
-    for (const auto& e : batch) {
-      removed += adj_[e.src].erase(e.dst);
-      if (undirected_) removed += adj_[e.dst].erase(e.src);
-    }
-    return removed;
-  }
-
-  void delete_vertices(const std::vector<VertexId>& ids) {
-    for (VertexId v : ids) dead_.insert(v);
-    for (VertexId v : ids) adj_.erase(v);
-    for (auto& [u, nbrs] : adj_) {
-      for (VertexId v : ids) nbrs.erase(v);
-    }
-  }
-
-  void revive(VertexId v) { dead_.erase(v); }
-
-  bool edge_exists(VertexId u, VertexId v) const {
-    if (dead_.count(u) || dead_.count(v)) return false;
-    auto it = adj_.find(u);
-    return it != adj_.end() && it->second.count(v) > 0;
-  }
-  std::uint32_t degree(VertexId u) const {
-    auto it = adj_.find(u);
-    return it == adj_.end() ? 0 : static_cast<std::uint32_t>(it->second.size());
-  }
-  Weight weight(VertexId u, VertexId v) const { return adj_.at(u).at(v); }
-  std::uint64_t num_edges() const {
-    std::uint64_t total = 0;
-    for (const auto& [u, nbrs] : adj_) total += nbrs.size();
-    return total;
-  }
-  const std::map<VertexId, std::map<VertexId, Weight>>& adjacency() const {
-    return adj_;
-  }
-
- private:
-  std::uint64_t insert_one(VertexId u, VertexId v, Weight w) {
-    dead_.erase(u);
-    dead_.erase(v);
-    const bool fresh = adj_[u].emplace(v, w).second;
-    if (!fresh) adj_[u][v] = w;
-    return fresh ? 1 : 0;
-  }
-
-  bool undirected_;
-  std::map<VertexId, std::map<VertexId, Weight>> adj_;
-  std::set<VertexId> dead_;
 };
 
 class DynGraphProperty : public ::testing::TestWithParam<PropertyParam> {};
@@ -113,20 +54,8 @@ TEST_P(DynGraphProperty, MixedOperationSequenceMatchesModel) {
                          static_cast<VertexId>(rng.below(kVertices)),
                          static_cast<Weight>(rng.below(1000))});
       }
-      // Batches may contain duplicate (src,dst) with different weights; the
-      // structure keeps "the most recent", which under warp order is the
-      // last occurrence — drop earlier duplicates from both sides so the
-      // weight comparison is deterministic.
-      std::map<std::pair<VertexId, VertexId>, std::size_t> last;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        last[{batch[i].src, batch[i].dst}] = i;
-      }
-      std::vector<WeightedEdge> dedup;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (last[{batch[i].src, batch[i].dst}] == i) dedup.push_back(batch[i]);
-      }
-      const std::uint64_t expected = model.insert(dedup);
-      EXPECT_EQ(graph.insert_edges(dedup), expected);
+      const std::uint64_t expected = model.insert(batch);
+      EXPECT_EQ(graph.insert_edges(batch), expected);
     } else if (op < 8) {
       std::vector<Edge> batch;
       const std::size_t size = 1 + rng.below(60);
@@ -148,31 +77,26 @@ TEST_P(DynGraphProperty, MixedOperationSequenceMatchesModel) {
       graph.delete_vertices(doomed);
       model.delete_vertices(doomed);
     } else {
-      // Query phase: spot-check equivalence.
+      // Query phase: spot-check equivalence, point and batched.
+      std::vector<Edge> queries;
       for (int q = 0; q < 50; ++q) {
         const auto u = static_cast<VertexId>(rng.below(kVertices));
         const auto v = static_cast<VertexId>(rng.below(kVertices));
         ASSERT_EQ(graph.edge_exists(u, v), model.edge_exists(u, v))
             << "round " << round << " edge " << u << "->" << v;
+        queries.push_back({u, v});
       }
+      std::vector<std::uint8_t> found(queries.size(), 2);
+      std::vector<Weight> weights(queries.size(), 0xDEAD);
+      graph.edge_weights(queries, weights.data(), found.data());
+      ASSERT_EQ(found, model.exist(queries)) << "round " << round;
+      ASSERT_EQ(weights, model.weights(queries)) << "round " << round;
     }
   }
 
-  // Final full equivalence: existence, weights, exact degrees, totals.
-  EXPECT_EQ(graph.num_edges(), model.num_edges());
-  for (const auto& [u, nbrs] : model.adjacency()) {
-    ASSERT_EQ(graph.degree(u), nbrs.size()) << "degree of " << u;
-    for (const auto& [v, w] : nbrs) {
-      ASSERT_TRUE(graph.edge_exists(u, v)) << u << "->" << v;
-      ASSERT_EQ(graph.edge_weight(u, v).value, w) << u << "->" << v;
-    }
-  }
-  // And no phantom edges: iterate the structure and check the model back.
-  for (VertexId u = 0; u < kVertices; ++u) {
-    graph.for_each_neighbor(u, [&](VertexId v, Weight) {
-      ASSERT_TRUE(model.edge_exists(u, v)) << "phantom " << u << "->" << v;
-    });
-  }
+  // Final full equivalence: existence, weights, exact degrees, totals,
+  // and no phantom edges.
+  expect_matches(graph, model);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -188,6 +112,97 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.undirected ? "_undir" : "_dir") + "_lf" +
              std::to_string(static_cast<int>(info.param.load_factor * 100));
     });
+
+// ---------------------------------------------------------------------------
+// Duplicate-heavy batches: every (src, dst) pair recurs several times per
+// batch with distinct weights, so only the last occurrence's weight is
+// right. Exact weights and `added` counts must match the reference at any
+// pool width, with no serialization of the graph under test.
+// ---------------------------------------------------------------------------
+
+class DuplicateHeavyBatches : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override { simt::ThreadPool::instance().resize(GetParam()); }
+  void TearDown() override { simt::ThreadPool::instance().resize(0); }
+};
+
+template <class Policy>
+void run_duplicate_heavy(bool undirected, std::uint32_t stage_shards,
+                         std::uint32_t epoch_edges, std::uint64_t seed) {
+  constexpr std::uint32_t kVertices = 24;  // 552 directed pairs
+  constexpr std::size_t kBatch = 3000;     // ~5 occurrences of each pair
+  GraphConfig cfg;
+  cfg.vertex_capacity = kVertices;
+  cfg.undirected = undirected;
+  cfg.stage_shards = stage_shards;
+  cfg.pipeline_epoch_edges = epoch_edges;
+  DynGraph<Policy> graph(cfg);
+  ReferenceGraph model(undirected);
+  util::Xoshiro256 rng(seed);
+  const std::string shape = "shards " + std::to_string(stage_shards) +
+                            ", epoch " + std::to_string(epoch_edges);
+
+  std::vector<Edge> all_pairs;
+  for (VertexId u = 0; u < kVertices; ++u) {
+    for (VertexId v = 0; v < kVertices; ++v) all_pairs.push_back({u, v});
+  }
+  for (int round = 0; round < 6; ++round) {
+    std::vector<WeightedEdge> batch(kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      // Weights unique across the whole run: a wrong winner cannot match.
+      batch[i] = {static_cast<VertexId>(rng.below(kVertices)),
+                  static_cast<VertexId>(rng.below(kVertices)),
+                  static_cast<Weight>(round * kBatch + i + 1)};
+    }
+    const std::uint64_t expected = model.insert(batch);
+    ASSERT_EQ(graph.insert_edges(batch), expected)
+        << shape << ", round " << round;
+    ASSERT_NO_FATAL_FAILURE(expect_matches(graph, model)) << shape;
+
+    std::vector<Edge> erases;  // duplicates and misses included
+    for (int i = 0; i < 400; ++i) {
+      erases.push_back({static_cast<VertexId>(rng.below(kVertices)),
+                        static_cast<VertexId>(rng.below(kVertices))});
+    }
+    ASSERT_EQ(graph.delete_edges(erases), model.erase(erases))
+        << shape << ", round " << round;
+
+    std::vector<std::uint8_t> found(all_pairs.size(), 2);
+    graph.edges_exist(all_pairs, found.data());
+    ASSERT_EQ(found, model.exist(all_pairs)) << shape << ", round " << round;
+    if constexpr (Policy::kHasValues) {
+      std::vector<Weight> weights(all_pairs.size(), 0xDEAD);
+      graph.edge_weights(all_pairs, weights.data());
+      ASSERT_EQ(weights, model.weights(all_pairs))
+          << shape << ", round " << round;
+    }
+  }
+  expect_matches(graph, model);
+}
+
+/// Default engine shape, then forced sharding with many small epochs so
+/// duplicates straddle both shard and epoch boundaries.
+template <class Policy>
+void run_duplicate_heavy_shapes(bool undirected, std::uint64_t seed) {
+  run_duplicate_heavy<Policy>(undirected, 0, 0, seed);
+  run_duplicate_heavy<Policy>(undirected, 4, 256, seed + 1);
+}
+
+TEST_P(DuplicateHeavyBatches, MapDirected) {
+  run_duplicate_heavy_shapes<MapPolicy>(false, 101);
+}
+TEST_P(DuplicateHeavyBatches, MapUndirected) {
+  run_duplicate_heavy_shapes<MapPolicy>(true, 102);
+}
+TEST_P(DuplicateHeavyBatches, SetDirected) {
+  run_duplicate_heavy_shapes<SetPolicy>(false, 103);
+}
+TEST_P(DuplicateHeavyBatches, SetUndirected) {
+  run_duplicate_heavy_shapes<SetPolicy>(true, 104);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, DuplicateHeavyBatches,
+                         ::testing::Values(1u, 4u, 8u));
 
 }  // namespace
 }  // namespace sg::core

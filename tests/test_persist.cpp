@@ -638,14 +638,6 @@ TEST(Recovery, BulkBuildReplayReproducesDstOnlyVertices) {
   EXPECT_EQ(rec.graph->num_edges(), 2u);
 }
 
-TEST(Journal, RequiresBatchEngine) {
-  TempDir dir;
-  GraphConfig cfg;
-  cfg.batch_engine = false;
-  cfg.journal_path = dir.file("j");
-  EXPECT_THROW(DynGraphMap{cfg}, std::invalid_argument);
-}
-
 TEST(Journal, ScheduledMutationsAreJournaledBeforeFuturesResolve) {
   TempDir dir;
   GraphConfig cfg;

@@ -1,6 +1,7 @@
-// Tests of the sharded, double-buffered batch pipeline (PR 3): interleaved
+// Tests of the sharded, double-buffered batch pipeline: interleaved
 // insert/delete/search batches through the pipelined path must equal both
-// the scalar Algorithm-1 oracle and the single-buffer PR 2 engine across
+// the reference graph (tests/graph_test_util.hpp) and the single-buffer
+// engine across
 // shard counts, epoch sizes, and pool widths (including the degenerate
 // 1-thread pipeline and pools wider than the shard count); most-recent-wins
 // dedup must stay deterministic across shard AND epoch boundaries; targeted
@@ -29,18 +30,9 @@ GraphConfig pipeline_config(bool undirected, std::uint32_t shards,
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
   cfg.undirected = undirected;
-  cfg.batch_engine = true;
   cfg.stage_shards = shards;
   cfg.pipeline_epoch_edges = epoch_edges;
   cfg.double_buffer = double_buffer;
-  return cfg;
-}
-
-GraphConfig oracle_config(bool undirected) {
-  GraphConfig cfg;
-  cfg.vertex_capacity = 256;
-  cfg.undirected = undirected;
-  cfg.batch_engine = false;
   return cfg;
 }
 
@@ -61,16 +53,16 @@ std::vector<WeightedEdge> skewed_batch(std::uint64_t seed, std::size_t count,
   return batch;
 }
 
-/// Drives interleaved insert / delete / search rounds through three graphs
-/// — the pipelined engine under test, the single-buffer engine, and the
-/// scalar oracle — asserting equality after every phase.
+/// Drives interleaved insert / delete / search rounds through the
+/// pipelined engine under test, the single-buffer engine, and the
+/// reference graph, asserting equality after every phase.
 template <class Policy>
 void run_pipeline_differential(bool undirected, std::uint32_t shards,
                                std::uint32_t epoch_edges, std::uint64_t seed) {
   DynGraph<Policy> pipelined(
       pipeline_config(undirected, shards, epoch_edges, true));
   DynGraph<Policy> single_buffer(pipeline_config(undirected, 1, 0, false));
-  DynGraph<Policy> oracle(oracle_config(undirected));
+  ReferenceGraph ref(undirected);
 
   for (int round = 0; round < 3; ++round) {
     const auto inserts = round % 2 == 0
@@ -78,11 +70,8 @@ void run_pipeline_differential(bool undirected, std::uint32_t shards,
                              : random_batch(seed + round, 700, 180);
     const std::uint64_t added = pipelined.insert_edges(inserts);
     EXPECT_EQ(added, single_buffer.insert_edges(inserts));
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(added, oracle.insert_edges(inserts));
-    }
-    expect_identical(pipelined, oracle);
+    EXPECT_EQ(added, ref.insert(inserts));
+    expect_matches(pipelined, ref);
     expect_identical(pipelined, single_buffer);
 
     std::vector<Edge> erases;
@@ -91,18 +80,16 @@ void run_pipeline_differential(bool undirected, std::uint32_t shards,
     }
     const std::uint64_t removed = pipelined.delete_edges(erases);
     EXPECT_EQ(removed, single_buffer.delete_edges(erases));
-    EXPECT_EQ(removed, oracle.delete_edges(erases));
-    expect_identical(pipelined, oracle);
+    EXPECT_EQ(removed, ref.erase(erases));
+    expect_matches(pipelined, ref);
 
     std::vector<Edge> queries;
     for (const auto& e : random_batch(seed + 90 + round, 400, 220)) {
       queries.push_back({e.src, e.dst});
     }
     std::vector<std::uint8_t> out_pipelined(queries.size(), 2);
-    std::vector<std::uint8_t> out_oracle(queries.size(), 2);
     pipelined.edges_exist(queries, out_pipelined.data());
-    oracle.edges_exist(queries, out_oracle.data());
-    EXPECT_EQ(out_pipelined, out_oracle);
+    EXPECT_EQ(out_pipelined, ref.exist(queries));
   }
 }
 
@@ -199,7 +186,7 @@ TEST(ShardedStagingGuard, RunCrossingShardPartitionThrows) {
   ok.shard(0).group_prepare(true);
   ok.shard(1).group_prepare(true);
   EXPECT_NO_THROW(ok.validate_partition());
-  EXPECT_EQ(ok.finalize(/*merge_free=*/true, false, false), 0u);
+  ok.finalize(false, false);
   EXPECT_EQ(ok.front().keys.size(), 1u);
 }
 
@@ -207,34 +194,35 @@ TEST(ShardedStagingGuard, RunCrossingShardPartitionThrows) {
 // Batched weighted lookup (edge_weights)
 // ---------------------------------------------------------------------------
 
-TEST(EdgeWeights, MatchesPointLookupsEngineAndOracle) {
+TEST(EdgeWeights, MatchesPointLookupsAndReference) {
   const auto inserts = skewed_batch(7, 1500, 96);
-  for (const bool engine : {true, false}) {
-    GraphConfig cfg = engine ? pipeline_config(false, 2, 200, true)
-                             : oracle_config(false);
-    cfg.vertex_capacity = 96;
-    DynGraphMap g(cfg);
-    g.insert_edges(inserts);
+  GraphConfig cfg = pipeline_config(false, 2, 200, true);
+  cfg.vertex_capacity = 96;
+  DynGraphMap g(cfg);
+  ReferenceGraph ref(false);
+  g.insert_edges(inserts);
+  ref.insert(inserts);
 
-    std::vector<Edge> queries;
-    for (const auto& e : skewed_batch(8, 600, 128)) {  // hits + misses +
-      queries.push_back({e.src, e.dst});               // unknown sources
-    }
-    queries.push_back({5, 5});        // self-loop: never stored
-    queries.push_back({4000, 1});     // far out of range
-    std::vector<Weight> weights(queries.size(), 0xDEAD);
-    std::vector<std::uint8_t> found(queries.size(), 2);
-    g.edge_weights(queries, weights.data(), found.data());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto expect = g.edge_weight(queries[i].src, queries[i].dst);
-      EXPECT_EQ(found[i] != 0, expect.found) << "query " << i;
-      EXPECT_EQ(weights[i], expect.found ? expect.value : 0u) << "query " << i;
-    }
-    // The found pointer is optional.
-    std::vector<Weight> weights_only(queries.size(), 0xDEAD);
-    g.edge_weights(queries, weights_only.data());
-    EXPECT_EQ(weights, weights_only);
+  std::vector<Edge> queries;
+  for (const auto& e : skewed_batch(8, 600, 128)) {  // hits + misses +
+    queries.push_back({e.src, e.dst});               // unknown sources
   }
+  queries.push_back({5, 5});        // self-loop: never stored
+  queries.push_back({4000, 1});     // far out of range
+  std::vector<Weight> weights(queries.size(), 0xDEAD);
+  std::vector<std::uint8_t> found(queries.size(), 2);
+  g.edge_weights(queries, weights.data(), found.data());
+  EXPECT_EQ(found, ref.exist(queries));
+  EXPECT_EQ(weights, ref.weights(queries));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expect = g.edge_weight(queries[i].src, queries[i].dst);
+    EXPECT_EQ(found[i] != 0, expect.found) << "query " << i;
+    EXPECT_EQ(weights[i], expect.found ? expect.value : 0u) << "query " << i;
+  }
+  // The found pointer is optional.
+  std::vector<Weight> weights_only(queries.size(), 0xDEAD);
+  g.edge_weights(queries, weights_only.data());
+  EXPECT_EQ(weights, weights_only);
 }
 
 TEST(EdgeWeights, EmptyBatchIsNoop) {
@@ -320,14 +308,6 @@ TEST(TargetedRehash, FeedbackSaturatesInsteadOfGrowingUnbounded) {
   EXPECT_TRUE(global.saturated);
   global.clear();
   EXPECT_FALSE(global.saturated);
-}
-
-TEST(TargetedRehash, EngineOffAlwaysFullScans) {
-  DynGraphMap g(oracle_config(false));
-  g.insert_edges(hub_batch(50, 60));
-  const std::uint32_t rehashed = g.rehash_long_chains(1.0);
-  EXPECT_GT(rehashed, 0u);
-  EXPECT_FALSE(g.last_rehash_stats().targeted);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,29 +436,6 @@ TEST(ArenaPressure, RetryingTheReportedRemainderCompletesTheBatch) {
   healed.insert_edges(committed);
   healed.insert_edges(retry);
   expect_identical(healed, fresh);
-}
-
-TEST(ArenaPressure, InlineEngineOffPathAlsoDegradesGracefully) {
-  // The scalar (batch_engine = false) path reaches the arena through the
-  // same typed error: exhaustion must not corrupt counters there either.
-  GraphConfig cfg = oracle_config(false);
-  cfg.vertex_capacity = 64;
-  cfg.max_arena_chunks = 1;
-  DynGraphMap g(cfg);
-  try {
-    SerialOracleScope serial;
-    g.insert_edges(hub_chain_batch(2000));
-    FAIL() << "expected exhaustion";
-  } catch (const PartialBatchError& e) {
-    EXPECT_EQ(e.applied(), g.num_edges());
-  } catch (const memory::ArenaExhausted&) {
-    // The scalar path may surface the raw arena error; counters must
-    // still be exact (checked below via a probe insert).
-  }
-  const std::uint64_t settled = g.num_edges();
-  const std::vector<Edge> miss{{2, 3}};
-  EXPECT_EQ(g.delete_edges(miss), 0u);
-  EXPECT_EQ(g.num_edges(), settled);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Tests of the phase-concurrent query pipeline, merge-free staging, and the
-// automatic rehash policy (PR 4):
+// automatic rehash policy:
 //
 //   * edges_exist / edge_weights split into double-buffered epochs (stage of
 //     query slice N+1 overlaps the bulk searches of slice N) and must agree
-//     with scalar point lookups across shard counts, epoch sizes, pool
-//     widths, and both staging assemblies (merge-free and the legacy
-//     copying merge);
-//   * merge-free staging must be byte-equivalent to the copying merge, obey
-//     the count/place two-pass invariant, report zero driver-side copy, and
-//     keep the shard-partition guard armed;
+//     with the reference graph (tests/graph_test_util.hpp) and point
+//     lookups across shard counts, epoch sizes, and pool widths;
+//   * merge-free staging must match the reference graph across shard
+//     counts and epochs, obey the count/place two-pass invariant, assemble
+//     a lone shard and several shards into the same runs, and keep the
+//     shard-partition guard armed;
 //   * bulk searches must feed observed chain lengths into ChainFeedback
 //     exactly as mutations do, and the GraphConfig::auto_rehash_p99_slabs
 //     policy must fire rehash_long_chains without user calls while
@@ -32,25 +32,14 @@ namespace {
 using namespace testutil;
 
 GraphConfig engine_config(std::uint32_t shards, std::uint32_t epoch_edges,
-                          bool merge_free, bool undirected = false) {
+                          bool undirected = false) {
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
   cfg.undirected = undirected;
-  cfg.batch_engine = true;
   cfg.stage_shards = shards;
   cfg.pipeline_epoch_edges = epoch_edges;
   cfg.double_buffer = true;
-  cfg.merge_free = merge_free;
   cfg.auto_rehash_p99_slabs = 0.0;  // rehash timing is pinned per test
-  return cfg;
-}
-
-GraphConfig oracle_config(bool undirected = false) {
-  GraphConfig cfg;
-  cfg.vertex_capacity = 256;
-  cfg.undirected = undirected;
-  cfg.batch_engine = false;
-  cfg.auto_rehash_p99_slabs = 0.0;
   return cfg;
 }
 
@@ -73,39 +62,31 @@ class QueryPipelineThreadSweep : public ::testing::TestWithParam<unsigned> {
   void TearDown() override { simt::ThreadPool::instance().resize(0); }
 };
 
-/// Drives edges_exist through the pipelined engine across shard counts,
-/// epoch sizes, and both staging assemblies; every answer must equal the
-/// scalar point lookup.
+/// Drives edges_exist through the pipelined engine across shard counts and
+/// epoch sizes; every answer must equal the reference graph's and the
+/// graph's own point lookup.
 template <class Policy>
 void run_exist_differential(bool undirected, std::uint64_t seed) {
   const auto inserts = random_batch(seed, 1500, 160);
-  DynGraph<Policy> oracle(oracle_config(undirected));
-  oracle.insert_edges(inserts);
+  ReferenceGraph ref(undirected);
+  ref.insert(inserts);
   const auto queries = query_batch(seed + 1, 900, 160);
-
-  std::vector<std::uint8_t> expected(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = oracle.edge_exists(queries[i].src, queries[i].dst) ? 1 : 0;
-  }
+  const std::vector<std::uint8_t> expected = ref.exist(queries);
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     for (const std::uint32_t epoch : {0u, 128u}) {
-      for (const bool merge_free : {true, false}) {
-        DynGraph<Policy> g(engine_config(shards, epoch, merge_free,
-                                         undirected));
-        g.insert_edges(inserts);
-        std::vector<std::uint8_t> out(queries.size(), 2);
-        g.edges_exist(queries, out.data());
-        EXPECT_EQ(out, expected)
-            << "shards=" << shards << " epoch=" << epoch
-            << " merge_free=" << merge_free;
-        if (epoch != 0) {
-          // 900 queries at epoch 128: the pipeline really split.
-          EXPECT_EQ(g.last_query_stats().epochs, (900 + 127) / 128);
-        }
-        if (merge_free) {
-          EXPECT_EQ(g.last_query_stats().merge_copy_bytes, 0u);
-        }
+      DynGraph<Policy> g(engine_config(shards, epoch, undirected));
+      g.insert_edges(inserts);
+      std::vector<std::uint8_t> out(queries.size(), 2);
+      g.edges_exist(queries, out.data());
+      EXPECT_EQ(out, expected) << "shards=" << shards << " epoch=" << epoch;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(out[i] != 0, g.edge_exists(queries[i].src, queries[i].dst))
+            << "query " << i;
+      }
+      if (epoch != 0) {
+        // 900 queries at epoch 128: the pipeline really split.
+        EXPECT_EQ(g.last_query_stats().epochs, (900 + 127) / 128);
       }
     }
   }
@@ -123,8 +104,10 @@ TEST_P(QueryPipelineThreadSweep, SetDirectedExist) {
 
 TEST_P(QueryPipelineThreadSweep, MapWeightsPipelinedMatchPointLookups) {
   const auto inserts = random_batch(31, 1500, 160);
-  DynGraphMap g(engine_config(2, 100, true));
+  DynGraphMap g(engine_config(2, 100));
+  ReferenceGraph ref(false);
   g.insert_edges(inserts);
+  ref.insert(inserts);
   auto queries = query_batch(32, 1100, 160);
   queries.push_back({5, 5});     // self-loop: never stored
   queries.push_back({4000, 1});  // far out of range
@@ -132,6 +115,8 @@ TEST_P(QueryPipelineThreadSweep, MapWeightsPipelinedMatchPointLookups) {
   std::vector<std::uint8_t> found(queries.size(), 2);
   g.edge_weights(queries, weights.data(), found.data());
   EXPECT_GT(g.last_query_stats().epochs, 1u);
+  EXPECT_EQ(found, ref.exist(queries));
+  EXPECT_EQ(weights, ref.weights(queries));
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto expect = g.edge_weight(queries[i].src, queries[i].dst);
     ASSERT_EQ(found[i] != 0, expect.found) << "query " << i;
@@ -144,7 +129,7 @@ TEST_P(QueryPipelineThreadSweep, MapWeightsPipelinedMatchPointLookups) {
 }
 
 TEST_P(QueryPipelineThreadSweep, ForcedEpochsReportQueryStats) {
-  DynGraphMap g(engine_config(2, 100, true));
+  DynGraphMap g(engine_config(2, 100));
   g.insert_edges(random_batch(41, 2000, 128));
   const auto queries = query_batch(42, 1000, 128);
   std::vector<std::uint8_t> out(queries.size());
@@ -155,7 +140,6 @@ TEST_P(QueryPipelineThreadSweep, ForcedEpochsReportQueryStats) {
   EXPECT_GT(stats.stage_seconds, 0.0);
   EXPECT_GT(stats.apply_seconds, 0.0);
   EXPECT_GE(stats.overlap_seconds, 0.0);
-  EXPECT_EQ(stats.merge_copy_bytes, 0u);  // merge-free: zero driver copy
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, QueryPipelineThreadSweep,
@@ -165,28 +149,24 @@ INSTANTIATE_TEST_SUITE_P(Widths, QueryPipelineThreadSweep,
 // Merge-free staging
 // ---------------------------------------------------------------------------
 
-TEST(MergeFreeStaging, DifferentialVsCopyingMergeAcrossShardsAndEpochs) {
-  // The same interleaved mutation stream must produce bit-identical graphs
-  // whether shard output is assembled merge-free or through the copying
-  // merge — and only the latter may report driver-copied bytes.
+TEST(MergeFreeStaging, MatchesReferenceAcrossShardsAndEpochs) {
+  // The same interleaved mutation stream must produce the reference graph
+  // however the shard output is placed into the global run list.
   const auto inserts = random_batch(51, 3000, 96);
   std::vector<Edge> erases;
   for (const auto& e : random_batch(52, 1200, 96)) {
     erases.push_back({e.src, e.dst});
   }
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
+  ReferenceGraph ref(true);
+  const std::uint64_t added = ref.insert(inserts);
+  const std::uint64_t removed = ref.erase(erases);
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     for (const std::uint32_t epoch : {0u, 150u}) {
-      DynGraphMap free_graph(engine_config(shards, epoch, true, true));
-      DynGraphMap copy_graph(engine_config(shards, epoch, false, true));
-      EXPECT_EQ(free_graph.insert_edges(inserts),
-                copy_graph.insert_edges(inserts));
-      EXPECT_EQ(free_graph.last_batch_stats().merge_copy_bytes, 0u)
-          << "merge-free staging must not copy on the driver";
-      EXPECT_GT(copy_graph.last_batch_stats().merge_copy_bytes, 0u)
-          << "the legacy merge is the copying reference";
-      EXPECT_EQ(free_graph.delete_edges(erases),
-                copy_graph.delete_edges(erases));
-      EXPECT_EQ(graph_edges(free_graph), graph_edges(copy_graph))
+      DynGraphMap g(engine_config(shards, epoch, true));
+      EXPECT_EQ(g.insert_edges(inserts), added);
+      EXPECT_EQ(g.delete_edges(erases), removed);
+      expect_matches(g, ref);
+      EXPECT_EQ(g.last_batch_stats().shards, shards)
           << "shards=" << shards << " epoch=" << epoch;
     }
   }
@@ -218,7 +198,7 @@ TEST(MergeFreeStaging, CountPlaceInvariantHoldsPerShard) {
     duplicates += staged.shard(s).duplicates;
   }
   EXPECT_EQ(counted_keys + duplicates, pushed);
-  EXPECT_EQ(staged.finalize(/*merge_free=*/true, false, false), 0u);
+  staged.finalize(false, false);
   const BatchStaging& front = staged.front();
   EXPECT_EQ(front.runs.size(), counted_runs);
   EXPECT_EQ(front.keys.size(), counted_keys);
@@ -237,33 +217,44 @@ TEST(MergeFreeStaging, CountPlaceInvariantHoldsPerShard) {
   }
 }
 
-TEST(MergeFreeStaging, FinalizeAssembliesAgree) {
-  // finalize(merge_free) and finalize(copying) must produce identical
-  // front() views from identically staged shards.
+TEST(MergeFreeStaging, LoneShardAndShardedFinalizeAgree) {
+  // A lone shard emits into its own arrays, several shards into slices of
+  // the global list: the same staged queries must come out as the same
+  // runs (shard-major order aside), with the same keys and values.
   const slabhash::TableRef table{0, 4};
-  ShardedStaging a;
-  ShardedStaging b;
-  for (ShardedStaging* st : {&a, &b}) {
-    st->resize(2);
+  const auto runs_of = [&](std::uint32_t num_shards) {
+    ShardedStaging st;
+    st.resize(num_shards);
     util::Xoshiro256 rng(13);
     for (int i = 0; i < 500; ++i) {
       const VertexId src = static_cast<VertexId>(rng.below(32));
-      st->shard(shard_of_vertex(src, 2))
-          .push(src, static_cast<std::uint32_t>(rng.below(25)), table, 5);
+      st.shard(shard_of_vertex(src, num_shards))
+          .push_weighted(src, static_cast<std::uint32_t>(rng.below(25)),
+                         static_cast<Weight>(i), table, 5,
+                         /*keep_weight=*/true);
     }
-    for (std::uint32_t s = 0; s < 2; ++s) {
-      st->shard(s).group_prepare(/*dedup=*/true);
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      st.shard(s).group_prepare(/*dedup=*/true);
     }
-  }
-  EXPECT_EQ(a.finalize(/*merge_free=*/true, false, false), 0u);
-  EXPECT_GT(b.finalize(/*merge_free=*/false, false, false), 0u);
-  EXPECT_EQ(a.front().keys, b.front().keys);
-  EXPECT_EQ(a.front().run_offsets, b.front().run_offsets);
-  ASSERT_EQ(a.front().runs.size(), b.front().runs.size());
-  for (std::size_t r = 0; r < a.front().runs.size(); ++r) {
-    EXPECT_EQ(a.front().runs[r].src, b.front().runs[r].src);
-    EXPECT_EQ(a.front().runs[r].bucket, b.front().runs[r].bucket);
-  }
+    st.finalize(/*gather_values=*/true, /*gather_seqs=*/false);
+    const BatchStaging& front = st.front();
+    EXPECT_EQ(front.run_offsets.size(), front.runs.size() + 1);
+    std::set<std::tuple<VertexId, std::uint32_t, std::vector<std::uint32_t>,
+                        std::vector<std::uint32_t>>>
+        runs;
+    for (std::size_t r = 0; r < front.runs.size(); ++r) {
+      const auto b = static_cast<std::ptrdiff_t>(front.run_offsets[r]);
+      const auto e = static_cast<std::ptrdiff_t>(front.run_offsets[r + 1]);
+      runs.insert({front.runs[r].src, front.runs[r].bucket,
+                   {front.keys.begin() + b, front.keys.begin() + e},
+                   {front.values.begin() + b, front.values.begin() + e}});
+    }
+    return runs;
+  };
+  const auto lone = runs_of(1);
+  EXPECT_FALSE(lone.empty());
+  EXPECT_EQ(runs_of(2), lone);
+  EXPECT_EQ(runs_of(4), lone);
 }
 
 TEST(MergeFreeStaging, PartitionGuardStillArmsTheDebugAssertion) {
@@ -304,7 +295,7 @@ std::vector<WeightedEdge> hub_batch(std::uint32_t hubs,
 }
 
 TEST(QueryChainFeedback, BulkSearchesFeedTheHistogram) {
-  GraphConfig cfg = engine_config(2, 0, true);
+  GraphConfig cfg = engine_config(2, 0);
   cfg.vertex_capacity = 2048;
   DynGraphMap g(cfg);
   g.insert_edges(hub_batch(3, 200, 60));
@@ -339,7 +330,7 @@ TEST(AutoRehash, FiresWithoutUserCallsAndPreservesContent) {
   // >1% of runs walk chains >= 4 slabs => the p99 policy must fire during
   // insert_edges itself.
   const auto edges = hub_batch(40, 80, 200);
-  GraphConfig auto_cfg = engine_config(2, 0, true);
+  GraphConfig auto_cfg = engine_config(2, 0);
   auto_cfg.vertex_capacity = 2048;
   auto_cfg.auto_rehash_p99_slabs = 4.0;
   GraphConfig manual_cfg = auto_cfg;
@@ -366,7 +357,7 @@ TEST(AutoRehash, TailFractionKnobControlsTheTrigger) {
   // — the knob, not a hard-wired 1%, decides.
   const auto edges = hub_batch(40, 80, 200);
   for (const double frac : {0.01, 0.5}) {
-    GraphConfig cfg = engine_config(2, 0, true);
+    GraphConfig cfg = engine_config(2, 0);
     cfg.vertex_capacity = 2048;
     cfg.auto_rehash_p99_slabs = 4.0;
     cfg.auto_rehash_tail_frac = frac;
@@ -394,7 +385,7 @@ TEST(AutoRehash, TailFractionIsValidatedAtConstruction) {
 }
 
 TEST(AutoRehash, StaysQuietOnUniformWorkloads) {
-  GraphConfig cfg = engine_config(2, 0, true);
+  GraphConfig cfg = engine_config(2, 0);
   cfg.auto_rehash_p99_slabs = 4.0;
   DynGraphMap g(cfg);
   g.insert_edges(random_batch(61, 2000, 200));  // short chains everywhere
@@ -405,7 +396,7 @@ TEST(AutoRehash, QueriesInformButNeverFireThePolicy) {
   // Queries feed the histogram but must not fire the (mutating) policy
   // themselves — the phase-concurrent model keeps query phases read-only.
   // The accumulated query observations DO count at the next mutation.
-  GraphConfig cfg = engine_config(1, 0, true);
+  GraphConfig cfg = engine_config(1, 0);
   cfg.vertex_capacity = 2048;
   cfg.auto_rehash_p99_slabs = 4.0;
   DynGraphMap g(cfg);

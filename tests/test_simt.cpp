@@ -1,6 +1,7 @@
 // Unit tests for the SIMT substrate: warp primitive semantics must match
-// the CUDA intrinsics they stand in for, grid launches must cover exactly
-// the requested items, and the atomics must behave under real contention.
+// the CUDA intrinsics they stand in for, grid launches must run exactly
+// the requested warps and runs, and the atomics must behave under real
+// contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -89,54 +90,20 @@ TEST(Warp, WarpIdItemIndexing) {
   EXPECT_EQ(id.active_count(), 32);
 }
 
-TEST(Grid, WarpsForRounding) {
-  EXPECT_EQ(warps_for(0), 0u);
-  EXPECT_EQ(warps_for(1), 1u);
-  EXPECT_EQ(warps_for(32), 1u);
-  EXPECT_EQ(warps_for(33), 2u);
-  EXPECT_EQ(warps_for(1024), 32u);
-}
-
-TEST(Grid, LaunchCoversEveryItemExactlyOnce) {
-  constexpr std::uint64_t kItems = 10007;  // prime => partial last warp
-  std::vector<std::atomic<int>> hits(kItems);
-  launch(kItems, [&](const WarpId& warp) {
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (warp.lane_active(lane)) {
-        hits[warp.item(lane)].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "item " << i;
-  }
-}
-
-TEST(Grid, LastWarpHasPartialActiveMask) {
-  std::atomic<std::uint32_t> last_mask{0};
-  launch(40, [&](const WarpId& warp) {
-    if (warp.warp == 1) last_mask = warp.active;
-  });
-  EXPECT_EQ(last_mask.load(), lanemask_below(8));
-}
-
-TEST(Grid, ZeroItemsIsNoop) {
-  bool ran = false;
-  launch(0, [&](const WarpId&) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
 TEST(Grid, SerialModeMatchesParallel) {
-  constexpr std::uint64_t kItems = 1000;
-  std::vector<int> serial_hits(kItems, 0);
+  constexpr std::uint32_t kWarps = 40;
+  std::vector<int> serial_hits(kWarps, 0);
   LaunchConfig serial_cfg;
   serial_cfg.serial = true;
-  launch(kItems, [&](const WarpId& warp) {
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (warp.lane_active(lane)) ++serial_hits[warp.item(lane)];
-    }
+  launch_warps(kWarps, [&](const WarpId& warp) { ++serial_hits[warp.warp]; },
+               serial_cfg);
+  EXPECT_EQ(serial_hits, std::vector<int>(kWarps, 1));
+  std::vector<std::uint64_t> offsets{0, 3, 3, 10};
+  std::vector<std::uint64_t> covered;
+  launch_runs(offsets, [&](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t r = first; r < last; ++r) covered.push_back(r);
   }, serial_cfg);
-  EXPECT_EQ(std::accumulate(serial_hits.begin(), serial_hits.end(), 0), 1000);
+  EXPECT_EQ(covered, (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST(Grid, LaunchWarpsRunsExactCount) {
